@@ -14,6 +14,7 @@ from .chainsum import (
     Residue,
     Weight,
     decay_chain,
+    endpoint_values,
     equality_strata,
     eval_dp,
     eval_dp_mod,
@@ -88,6 +89,7 @@ __all__ = [
     "discrepancy",
     "dual",
     "duality_convergence",
+    "endpoint_values",
     "equality_strata",
     "eval_dp",
     "eval_dp_mod",

@@ -54,7 +54,7 @@ cdef object _enum_rec(Py_ssize_t i, Py_ssize_t prev, object carry, list dens,
 
 
 def dp_sum(list dens, list stricts, list lbs, list ubs, list lams):
-    """Prefix-sum dynamic program on scaled integers."""
+    """Prefix-sum dynamic program on scaled integers; returns the final layer."""
     cdef Py_ssize_t k = len(dens)
     cdef Py_ssize_t size = len(<list>dens[0])
     cdef list front = [0] * size
@@ -80,10 +80,7 @@ def dp_sum(list dens, list stricts, list lbs, list ubs, list lams):
             if run:
                 nxt[n] = (lam // <object>d[n]) * run
         front = nxt
-    cdef object acc = 0
-    for n in range(<Py_ssize_t>lbs[k - 1], <Py_ssize_t>ubs[k - 1] + 1):
-        acc = acc + front[n]
-    return acc
+    return front
 
 
 def dp_sum_mod(list dens, list stricts, list lbs, list ubs, modulus):

@@ -46,7 +46,9 @@ def dp_sum(dens, stricts, lbs, ubs, lams):
 
     Layer i holds, for each endpoint value n, the scaled sum over all
     partial tuples ending at n; `lams[i]` is the per-layer scale factor
-    (a multiple of every dens[i][n] on the band).
+    (a multiple of every dens[i][n] on the band).  Returns the final
+    layer, whose entries vanish off the last band and add up to the
+    scaled sum of the whole chain.
     """
     size = len(dens[0])
     front = [0] * size
@@ -66,7 +68,7 @@ def dp_sum(dens, stricts, lbs, ubs, lams):
             if run:
                 nxt[n] = (lam // d[n]) * run
         front = nxt
-    return sum(front[lbs[-1]:ubs[-1] + 1])
+    return front
 
 
 def dp_sum_mod(dens, stricts, lbs, ubs, modulus):

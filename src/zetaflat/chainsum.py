@@ -8,7 +8,10 @@ behind the duality discrepancy all compile to this shape.
 
 Two exact evaluators share the compiled form: `eval_enum` enumerates every
 tuple directly and is kept as the trusted oracle; `eval_dp` is the
-prefix-sum dynamic program used everywhere at scale.  `eval_dp_mod` runs
+prefix-sum dynamic program used everywhere at scale.  The program's final
+layer holds the value at each endpoint v, the sum over the tuples whose
+last variable is v; `endpoint_values` returns that layer, and connected
+sums and the binomial identity are built from it.  `eval_dp_mod` runs
 the dynamic program in Z/m.  All three run on the active kernel backend
 (compiled extension or pure Python) and agree bit for bit.
 
@@ -136,6 +139,25 @@ def riemann_chain(k) -> ChainSpec:
     if not k.admissible:
         raise ValueError(f"index {tuple(k)} is not admissible")
     return _block_chain(k, REFLECTED, strict_only_at_starts=False)
+
+
+def tilde_chain(l) -> ChainSpec:
+    """The right-hand chain of a connected sum.
+
+    Factors as in flat_chain, but the strict gaps follow the block
+    openings instead of preceding them: the relation after position j
+    (the terminal one for j = weight) is strict exactly when j opens a
+    block, which keeps each factor 1/(N - m) away from zero; the relation
+    entering position 1 is strict.
+    """
+    l = as_index(l)
+    if not l:
+        raise ValueError("need a nonempty index")
+    starts = boundary_set_tilde(l)
+    return ChainSpec(tuple(
+        Position(REFLECTED if j in starts else HARMONIC, j == 1 or j - 1 in starts)
+        for j in range(1, l.weight + 1)),
+        terminal_strict=l.weight in starts)
 
 
 def _block_chain(k, start_weight, strict_only_at_starts):
@@ -278,16 +300,25 @@ def eval_enum(spec: ChainSpec, upper) -> Fraction:
     return Fraction(num, scale)
 
 
-def eval_dp(spec: ChainSpec, upper) -> Fraction:
-    """Sum the chain by the prefix-sum dynamic program (the workhorse)."""
+def endpoint_values(spec: ChainSpec, upper):
+    """The final layer of the prefix-sum dynamic program, as (front, scale).
+
+    front[v] / scale, for 0 <= v <= upper, is the chain sum over the
+    tuples whose last variable equals v.
+    """
     plan = _plan(spec, upper)
     if plan is None:
-        return Fraction(0)
+        return [0] * (upper + 1), 1
     dens, stricts, lbs, ubs = plan
     lcm = _lcm_upto(upper)
     lams = [lcm ** p.weight.degree for p in spec.positions]
-    num = backend.dp_sum(dens, stricts, lbs, ubs, lams)
-    return Fraction(num, lcm ** spec.degree)
+    return backend.dp_sum(dens, stricts, lbs, ubs, lams), lcm ** spec.degree
+
+
+def eval_dp(spec: ChainSpec, upper) -> Fraction:
+    """Sum the chain by the prefix-sum dynamic program (the workhorse)."""
+    front, scale = endpoint_values(spec, upper)
+    return Fraction(sum(front), scale)
 
 
 def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:

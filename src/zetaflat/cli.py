@@ -232,9 +232,16 @@ def _transport_sweep_report(which, upper):
     return make_report(f"transport{which}", {"N": upper}, bad, [], started)
 
 
+def _duality_r_rows(k, lo, hi):
+    return duality_convergence(k, [2 ** j for j in range(lo, hi + 1)])
+
+
 def _duality_r_report(k, lo, hi):
     started = time.perf_counter()
-    rows = duality_convergence(k, [2 ** j for j in range(lo, hi + 1)])
+    return _convergence_report(k, lo, hi, _duality_r_rows(k, lo, hi), started)
+
+
+def _convergence_report(k, lo, hi, rows, started):
     diffs = [r.diff for r in rows]
     decs = [r.decimal for r in rows]
     if all(d == 0 for d in diffs):
@@ -300,6 +307,8 @@ def verify_tasks(args, caps):
             tasks.append((_transport_sweep_report, {"which": 2, "upper": n}))
     elif suite == "duality-r":
         lo, hi = parse_range(args.powers)
+        if not 0 <= lo <= hi:
+            raise ValueError(f"empty or negative fence range 2^{lo}..2^{hi}")
         caps.check_upper(2 ** hi)
         if args.index:
             indices = [parse_index(t) for t in args.index]
@@ -324,6 +333,8 @@ def verify_tasks(args, caps):
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
         n_values = sorted({int(t) for t in args.n_values.split(",")})
+        if n_values[0] < 1:
+            raise ValueError(f"lifting exponents must be positive, got {n_values[0]}")
         check = padic_duality_check if suite == "padic" else seki_lifting_check
         fixtures = None
         for n in n_values:
@@ -367,16 +378,21 @@ def cmd_verify(args):
                      or len(args.index) != 1):
         raise ValueError("--csv needs suite duality-r with exactly one --index")
     tasks = verify_tasks(args, caps)
-    if args.jobs > 1:
+    if not tasks:
+        raise ValueError("the grid holds no instances to check")
+    if args.csv:
+        # --csv leaves one duality-r task; its rows feed the table and the verdict.
+        (_, kwargs), = tasks
+        started = time.perf_counter()
+        rows = _duality_r_rows(**kwargs)
+        reports = [_convergence_report(rows=rows, started=started, **kwargs)]
+    elif args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_call, tasks))
     else:
         reports = [_call(t) for t in tasks]
 
     if args.csv:
-        lo, hi = parse_range(args.powers)
-        rows = duality_convergence(parse_index(args.index[0]),
-                                   [2 ** j for j in range(lo, hi + 1)])
         print("N,diff_num,diff_den,diff_decimal")
         for row in rows:
             print(f"{row.upper},{row.diff.numerator},"
@@ -431,7 +447,7 @@ def entry(argv=None):
     except CapExceededError as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

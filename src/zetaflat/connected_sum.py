@@ -8,11 +8,11 @@ depth many applications telescope zeta_trunc(k, N+1) into
 zeta_flat(k, N+1), and `telescope` materializes the whole route as a
 trace of equal-valued connected sums.
 
-The right-side chain follows the tilde relation rule: the gap AFTER
-position j (the last gap ending at the fence N) is strict exactly when j
-opens a block of the right index.  Every block opening is followed by a
-strict gap, which is precisely what keeps the reflected factors
-1/(N - m) away from zero.
+Both sides of a connected sum are endpoint values of the shared chain
+engine: zeta_chain(left) at fence N+1 pinned at its last variable v, and
+the reflected tilde_chain(right) at fence N, read at N - u, pinned at its
+first variable u.  One pass over the connector rows in scaled integers
+couples the two.
 """
 
 from __future__ import annotations
@@ -22,10 +22,17 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
-from .chainsum import eval_dp, flat_chain, zeta_chain
-from .index_algebra import Index, as_index, boundary_set_tilde, format_index
+from .chainsum import (
+    endpoint_values,
+    eval_dp,
+    flat_chain,
+    reflect_chain,
+    tilde_chain,
+    zeta_chain,
+)
+from .index_algebra import Index, as_index, format_index
 from .reports import fraction_str, make_report
 
 
@@ -95,54 +102,13 @@ def connector_difference_failures(upper):
     return bad
 
 
-def _left_table(k, upper):
-    """A[v] = sum over 0 < n_1 < ... < n_r = v of prod 1/n_i^k_i."""
-    front = [Fraction(0)] * (upper + 1)
-    for v in range(1, upper + 1):
-        front[v] = Fraction(1, v ** k[0])
-    for exp in k[1:]:
-        nxt = [Fraction(0)] * (upper + 1)
-        run = Fraction(0)
-        for v in range(1, upper + 1):
-            run += front[v - 1]
-            if run:
-                nxt[v] = run * Fraction(1, v ** exp)
-        front = nxt
-    return front
-
-
-def _right_table(l, upper):
-    """B[u] = reflected block sum over tilde-rule chains with m_1 = u."""
-    w = l.weight
-    starts = boundary_set_tilde(l)
-
-    def factor(j, m):
-        return (Fraction(1, upper - m) if j in starts else Fraction(1, m))
-
-    top = upper - 1 if w in starts else upper
-    table = [Fraction(0)] * (upper + 2)
-    for m in range(1, top + 1):
-        table[m] = factor(w, m)
-    for j in range(w - 1, 0, -1):
-        shift = 1 if j in starts else 0
-        suffix = [Fraction(0)] * (upper + 2)
-        for m in range(upper, 0, -1):
-            suffix[m] = suffix[m + 1] + table[m]
-        nxt = [Fraction(0)] * (upper + 2)
-        for m in range(1, upper + 1):
-            tail = suffix[m + shift] if m + shift <= upper else Fraction(0)
-            if tail:
-                nxt[m] = factor(j, m) * tail
-        table = nxt
-    return table
-
-
 def connected_sum(upper, left, right) -> Fraction:
     """The connector-coupled double sum Z_N(left | right).
 
     Boundary cases are definitions, not computations: an empty right side
     means zeta_trunc(left, N+1), an empty left side zeta_flat(right, N+1).
-    Both sides empty is rejected.
+    Both sides empty is rejected.  Otherwise the sum over v <= u of
+    A[v] C_N(v, u) B[u] is formed over the denominator lcm_v binom(N, v).
     """
     left = as_index(left)
     right = as_index(right)
@@ -154,18 +120,16 @@ def connected_sum(upper, left, right) -> Fraction:
         return eval_dp(zeta_chain(left), upper + 1)
     if not left:
         return eval_dp(flat_chain(right), upper + 1)
-    a = _left_table(left, upper)
-    b = _right_table(right, upper)
-    total = Fraction(0)
-    for u in range(1, upper + 1):
-        if not b[u]:
-            continue
-        inner = Fraction(0)
-        for v in range(1, u + 1):
-            if a[v]:
-                inner += a[v] * connector(upper, v, u)
-        total += inner * b[u]
-    return total
+    a, sa = endpoint_values(zeta_chain(left), upper + 1)
+    b, sb = endpoint_values(reflect_chain(tilde_chain(right)), upper)
+    rows = [comb(upper, v) for v in range(upper + 1)]
+    den = lcm(*rows)
+    total = 0
+    for v in range(1, upper + 1):
+        if a[v]:
+            inner = sum(comb(u, v) * b[upper - u] for u in range(v, upper + 1))
+            total += a[v] * (den // rows[v]) * inner
+    return Fraction(total, sa * sb * den)
 
 
 def transport_step_check(upper, head, tail, rest):

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .chainsum import (
     Residue,
+    endpoint_values,
     eval_dp,
     eval_dp_mod,
     flat_chain,
@@ -191,21 +192,6 @@ def flat_mod_identity_check(k, p):
         "flat-mod", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
 
-def _weak_end_table(l, upper):
-    """Exact table T[v] of weak chains for l ending exactly at v <= upper."""
-    table = [Fraction(0)] * (upper + 1)
-    for v in range(1, upper + 1):
-        table[v] = Fraction(1, v ** l[0])
-    for e in l[1:]:
-        run = Fraction(0)
-        nxt = [Fraction(0)] * (upper + 1)
-        for v in range(1, upper + 1):
-            run += table[v]
-            nxt[v] = run / v ** e
-        table = nxt
-    return table
-
-
 def hoffman_identity_check(k, upper):
     """Check the binomial identity between a weak chain and its dual.
 
@@ -219,11 +205,9 @@ def hoffman_identity_check(k, upper):
     if upper < 1:
         raise ValueError("the fence must be at least 1")
     lhs = eval_dp(hoffman_weak_chain(k), upper)
-    table = _weak_end_table(tuple(hoffman_dual(k)), upper)
-    rhs = Fraction(0)
-    for v in range(1, upper + 1):
-        sign = 1 if v % 2 else -1
-        rhs += sign * comb(upper, v) * table[v]
+    front, scale = endpoint_values(hoffman_weak_chain(hoffman_dual(k)), upper)
+    rhs = Fraction(sum((-1) ** (v - 1) * comb(upper, v) * front[v]
+                       for v in range(1, upper + 1)), scale)
     return make_report(
         "hoffman-identity", {"k": format_index(k), "N": upper},
         lhs, rhs, started)

@@ -31,7 +31,7 @@ from .chainsum import (
     zeta_chain,
     zeta_star_chain,
 )
-from .index_algebra import Index, as_index, coarsenings, dual, format_index
+from .index_algebra import Index, as_index, dual, format_index
 from .reports import decimal_str, make_report
 
 
@@ -50,11 +50,7 @@ def zeta_trunc(k, upper, method="dp") -> Fraction:
 
 def zeta_star_trunc(k, upper, method="dp") -> Fraction:
     """Weak-inequality variant; equals the sum of zeta_trunc over coarsenings."""
-    k = as_index(k)
-    total = Fraction(0)
-    for l in coarsenings(k):
-        total += zeta_trunc(l, upper, method)
-    return total
+    return _eval(zeta_star_chain(k), upper, method)
 
 
 def zeta_flat(k, upper, method="dp") -> Fraction:

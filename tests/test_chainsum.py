@@ -25,6 +25,7 @@ from zetaflat.chainsum import (
     Residue,
     Weight,
     decay_chain,
+    endpoint_values,
     equality_strata,
     eval_dp,
     eval_dp_mod,
@@ -34,6 +35,7 @@ from zetaflat.chainsum import (
     hoffman_weak_chain,
     reflect_chain,
     riemann_chain,
+    tilde_chain,
     zeta_chain,
     zeta_star_chain,
     _plan,
@@ -42,12 +44,15 @@ from zetaflat.errors import NonUnitError
 from zetaflat.index_algebra import indices_up_to_weight
 
 
-def oracle_sum(spec, upper):
-    """Filtered product-space walk; no bands, no scaling, no DP."""
+def oracle_sum(spec, upper, end=None):
+    """Filtered product-space walk; no bands, no scaling, no DP.
+
+    With `end` given, only the tuples whose last entry equals it count.
+    """
     k = spec.length
     total = Fraction(0)
     for tup in itertools.product(range(0, upper + 1), repeat=k):
-        ok = True
+        ok = end is None or tup[-1] == end
         prev = 0
         for i, n in enumerate(tup):
             if spec.positions[i].strict_before:
@@ -124,6 +129,15 @@ def test_compiler_shapes():
     sup = flat_support_chain((1, 2))
     assert [p.weight for p in sup.positions] == [HARMONIC] * 3
     assert [p.strict_before for p in sup.positions] == [True, True, False]
+    # the right side of a connected sum: strict gaps after block openings
+    tilde = tilde_chain((1, 2))
+    assert [p.weight for p in tilde.positions] == [p.weight for p in flat.positions]
+    assert [p.strict_before for p in tilde.positions] == [True, True, True]
+    assert not tilde.terminal_strict
+    tilde = tilde_chain((2, 1))
+    assert [p.weight for p in tilde.positions] == [REFLECTED, HARMONIC, REFLECTED]
+    assert [p.strict_before for p in tilde.positions] == [True, True, False]
+    assert tilde.terminal_strict
     rie = riemann_chain((1, 2))
     assert [p.weight for p in rie.positions] == [p.weight for p in flat.positions]
     assert all(p.strict_before for p in rie.positions)
@@ -193,7 +207,7 @@ def test_dp_equals_enum_all_families():
         if not k:
             continue
         specs = [zeta_chain(k), zeta_star_chain(k), hoffman_weak_chain(k),
-                 flat_chain(k), flat_support_chain(k)]
+                 flat_chain(k), flat_support_chain(k), tilde_chain(k)]
         if k.admissible:
             specs.append(riemann_chain(k))
         for spec in specs:
@@ -210,6 +224,21 @@ def test_dp_equals_enum_random_specs():
         if not spec_is_safe(spec, upper):
             continue
         assert eval_dp(spec, upper) == eval_enum(spec, upper)
+        done += 1
+
+
+def test_endpoint_values_against_oracle():
+    rng = random.Random(4177)
+    done = 0
+    while done < 60:
+        spec = random_spec(rng, max_len=3)
+        upper = rng.randint(0, 7)
+        if not spec_is_safe(spec, upper):
+            continue
+        front, scale = endpoint_values(spec, upper)
+        assert len(front) == upper + 1
+        for v in range(upper + 1):
+            assert Fraction(front[v], scale) == oracle_sum(spec, upper, v), (spec, v)
         done += 1
 
 

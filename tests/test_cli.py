@@ -194,6 +194,33 @@ def test_bad_range_and_unknown_suite(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "padic", "--primes", "200..3"],
+    ["verify", "main", "--max-upper", "0"],
+    ["verify", "duality-r", "--powers", "12..4"],
+])
+def test_verify_empty_grid_is_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert "PASS" not in out + err and "Traceback" not in err
+
+
+def test_verify_rejects_nonpositive_exponent(capsys):
+    for suite in ("padic", "seki"):
+        for n in ("0", "-1"):
+            code, out, err = run_cli(["verify", suite, "--max-weight", "2",
+                                      "--n-values", n], capsys)
+            assert code == 2 and err.startswith("error: "), (suite, n)
+            assert "PASS" not in out + err and "Traceback" not in err
+
+
+def test_verify_missing_threshold_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ZETAFLAT_FIXTURES_DIR", str(tmp_path))
+    code, out, err = run_cli(["verify", "seki", "--n-values", "2"], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert "seki_thresholds.txt" in err and "PASS" not in out + err
+
+
 def test_parse_helpers():
     assert parse_range("3..199") == (3, 199)
     assert parse_range("13") == (13, 13)

@@ -7,6 +7,9 @@ checked against the direct weak-chain modular DP.
 """
 
 import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -36,7 +39,8 @@ from zetaflat.index_algebra import (
     indices_of_weight,
     indices_up_to_weight,
 )
-from zetaflat.mzv_real import zeta_star_trunc, zeta_trunc
+from zetaflat.mzv_real import zeta_trunc
+from zetaflat.reports import fraction_str
 
 
 def sieve(limit):
@@ -106,10 +110,11 @@ def test_zeta_star_mod_two_oracles():
             continue
         for p in primes_in(3, 13):
             got = zeta_star_mod(k, p, 2).residue
-            assert got == Residue.from_fraction(zeta_star_trunc(k, p), p * p)
+            exact = sum((zeta_trunc(l, p) for l in coarsenings(k)), Fraction(0))
+            assert got == Residue.from_fraction(exact, p * p)
             assert got == eval_dp_mod(zeta_star_chain(k), p, p * p)
     assert zeta_star_mod((2,), 7, 1).residue == zeta_mod((2,), 7, 1).residue
-    want = Residue.from_fraction(zeta_star_trunc((1, 1), 5), 5)
+    want = Residue.from_fraction(zeta_trunc((1, 1), 5) + zeta_trunc((2,), 5), 5)
     assert zeta_star_mod((1, 1), 5, 1).residue == want
     assert zeta_star_mod((1, 1), 2, 1).value == 1
 
@@ -177,6 +182,29 @@ def test_hoffman_binomial_identity():
             continue
         for n in range(1, 21):
             assert hoffman_identity_check(k, n).passed, (k, n)
+
+
+def test_hoffman_identity_against_enumeration():
+    """Both sides of the binomial identity, enumerated tuple by tuple."""
+
+    def weak_sum(index, upper, ends):
+        total = Fraction(0)
+        for ms in combinations_with_replacement(range(1, upper + 1), len(index)):
+            term = Fraction(ends(ms[-1]))
+            for m, e in zip(ms, index):
+                term /= m ** e
+            total += term
+        return total
+
+    for k in indices_up_to_weight(4):
+        if not k:
+            continue
+        l = tuple(hoffman_dual(k))
+        for n in range(1, 9):
+            r = hoffman_identity_check(k, n)
+            assert r.lhs == fraction_str(weak_sum(k, n, lambda m: 1)), (k, n)
+            want = weak_sum(l, n, lambda m: (-1) ** (m - 1) * comb(n, m))
+            assert r.rhs == fraction_str(want), (k, n)
 
 
 def test_lifted_checks_reduce_to_mod_p():
