@@ -3,11 +3,10 @@
 The library computes strict and weak multiple harmonic sums, their
 reflected block forms, connected sums with a binomial connector, and
 the matching congruences mod p and mod p^n, all in exact rational or
-residue arithmetic.  The heavy kernels have a compiled backend with a
-pure-Python twin; see zetaflat.backend.
+residue arithmetic.  One pure-Python kernel set (zetaflat._kernels)
+evaluates every chain sum.
 """
 
-from .backend import active_backend
 from .chainsum import (
     ChainSpec,
     Position,
@@ -67,6 +66,12 @@ from .mzv_real import (
 from .reports import VerificationReport, decimal_str, fraction_str
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the kernel set in use; there is one, 'pure'."""
+    return "pure"
+
 
 __all__ = [
     "CapExceededError",

@@ -1,8 +1,4 @@
-"""Pure-Python evaluation kernels.
-
-Twin of the compiled extension `zetaflat._ckernels`; same functions, same
-contract, same scaled-integer arithmetic, so results are bit-identical
-whichever one the backend picks.
+"""The evaluation kernels: enumeration, prefix-sum DP and residue DP.
 
 A kernel works on a pre-validated plan: per-position denominator tables
 `dens[i][n]` (zero outside the feasible band), strictness flags for the

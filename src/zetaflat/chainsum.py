@@ -12,8 +12,8 @@ prefix-sum dynamic program used everywhere at scale.  The program's final
 layer holds the value at each endpoint v, the sum over the tuples whose
 last variable is v; `endpoint_values` returns that layer, and connected
 sums and the binomial identity are built from it.  `eval_dp_mod` runs
-the dynamic program in Z/m.  All three run on the active kernel backend
-(compiled extension or pure Python) and agree bit for bit.
+the dynamic program in Z/m.  All three run on the pure-Python kernels in
+`zetaflat._kernels`.
 
 Internally values are integers scaled by lcm(1..N)^degree, so no rational
 reduction happens until the final Fraction is formed.
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import backend
+from ._kernels import dp_sum, dp_sum_mod, enum_sum
 from .errors import NonUnitError
 from .index_algebra import Index, as_index, boundary_set_tilde
 
@@ -296,7 +296,7 @@ def eval_enum(spec: ChainSpec, upper) -> Fraction:
     dens, stricts, lbs, ubs = plan
     lcm = _lcm_upto(upper)
     scale = lcm ** spec.degree
-    num = backend.enum_sum(dens, stricts, lbs, ubs, scale)
+    num = enum_sum(dens, stricts, lbs, ubs, scale)
     return Fraction(num, scale)
 
 
@@ -312,7 +312,7 @@ def endpoint_values(spec: ChainSpec, upper):
     dens, stricts, lbs, ubs = plan
     lcm = _lcm_upto(upper)
     lams = [lcm ** p.weight.degree for p in spec.positions]
-    return backend.dp_sum(dens, stricts, lbs, ubs, lams), lcm ** spec.degree
+    return dp_sum(dens, stricts, lbs, ubs, lams), lcm ** spec.degree
 
 
 def eval_dp(spec: ChainSpec, upper) -> Fraction:
@@ -336,7 +336,7 @@ def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:
         return Residue(0, modulus)
     dens, stricts, lbs, ubs = plan
     dens_mod = [[d % modulus for d in row] for row in dens]
-    value = backend.dp_sum_mod(dens_mod, stricts, lbs, ubs, modulus)
+    value = dp_sum_mod(dens_mod, stricts, lbs, ubs, modulus)
     return Residue(value, modulus)
 
 

@@ -2,18 +2,21 @@
 (index, fence, prime) grids, and emit telescoping transcripts.
 
 Exit codes are a stable contract: 0 all pass, 1 some check failed,
-2 usage or parse problem, 3 a configured cap was exceeded.  Reports
-stream one line per instance (text or JSON); convergence tables can be
-dumped as CSV.
+2 usage or parse problem, 3 a configured cap was exceeded, 141
+(128 + SIGPIPE) the reader closed stdout before the output ended.
+Reports stream one line per instance (text or JSON) as each check
+returns; convergence tables can be dumped as CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 from .connected_sum import (
@@ -372,6 +375,20 @@ def _call(task):
     return fn(**kwargs)
 
 
+def _reports(tasks, jobs):
+    """The report of each task, in order, as soon as it is ready."""
+    if jobs <= 1:
+        yield from map(_call, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        try:
+            yield from pool.map(_call, tasks)
+        finally:
+            # Closed early (a check raised, or the reader went away): drop
+            # the checks still queued instead of running them unread.
+            pool.shutdown(cancel_futures=True)
+
+
 def cmd_verify(args):
     caps = caps_of(args)
     if args.csv and (args.suite != "duality-r" or not args.index
@@ -385,32 +402,23 @@ def cmd_verify(args):
         (_, kwargs), = tasks
         started = time.perf_counter()
         rows = _duality_r_rows(**kwargs)
-        reports = [_convergence_report(rows=rows, started=started, **kwargs)]
-    elif args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_call, tasks))
-    else:
-        reports = [_call(t) for t in tasks]
-
-    if args.csv:
+        report = _convergence_report(rows=rows, started=started, **kwargs)
         print("N,diff_num,diff_den,diff_decimal")
         for row in rows:
             print(f"{row.upper},{row.diff.numerator},"
                   f"{row.diff.denominator},{row.decimal}")
-    elif args.json:
-        for r in reports:
-            print(json.dumps(r.to_json_dict()))
+        good, total = int(report.passed), 1
     else:
-        for r in reports:
-            print(r.line())
-    good = sum(1 for r in reports if r.passed)
-    verdict = "PASS" if good == len(reports) else "FAIL"
-    summary = f"{verdict} {good}/{len(reports)}"
-    if args.json or args.csv:
-        print(summary, file=sys.stderr)
-    else:
-        print(summary)
-    return 0 if good == len(reports) else 1
+        good = total = 0
+        with closing(_reports(tasks, args.jobs)) as reports:
+            for r in reports:
+                print(json.dumps(r.to_json_dict()) if args.json else r.line())
+                good += 1 if r.passed else 0
+                total += 1
+    verdict = "PASS" if good == total else "FAIL"
+    print(f"{verdict} {good}/{total}",
+          file=sys.stderr if args.json or args.csv else sys.stdout)
+    return 0 if good == total else 1
 
 
 def cmd_trace(args):
@@ -443,7 +451,16 @@ def entry(argv=None):
     except AttributeError:
         pass
     try:
-        return main(argv)
+        rc = main(argv)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader went away (say, `| head`).  Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CapExceededError as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from zetaflat import cli
 from zetaflat.cli import entry, parse_range, parse_side
 from zetaflat.index_algebra import Index, indices_up_to_weight
+from zetaflat.mzv_real import log2_discretization_check
 
 
 def run_cli(argv, capsys):
@@ -219,6 +221,33 @@ def test_verify_missing_threshold_file(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["verify", "seki", "--n-values", "2"], capsys)
     assert code == 2 and err.startswith("error: ")
     assert "seki_thresholds.txt" in err and "PASS" not in out + err
+
+
+def test_verify_prints_each_report_as_it_returns(monkeypatch, capsys):
+    def broken(**kwargs):
+        raise ValueError("the second check cannot run")
+
+    monkeypatch.setattr(cli, "verify_tasks", lambda args, caps: [
+        (log2_discretization_check, {"upper": 3}), (broken, {})])
+    code, out, err = run_cli(["verify", "log2"], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert out.splitlines() == [log2_discretization_check(upper=3).line()]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # The sweep prints far more than a pipe holds, so it is still writing
+    # when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zetaflat.cli", "verify", "main",
+         "--max-weight", "5", "--max-upper", "40", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert json.loads(first)["pass"] is True
+    assert code == 141 and "Traceback" not in err, err
 
 
 def test_parse_helpers():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zetaflat.backend import active_backend
+from zetaflat import active_backend
 from zetaflat.finite_padic import (
     PADIC_FIXTURES,
     SEKI_FIXTURES,
