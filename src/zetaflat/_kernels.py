@@ -1,14 +1,15 @@
 """The evaluation kernels: enumeration, prefix-sum DP and residue DP.
 
-A kernel works on a pre-validated plan: per-position denominator tables
-`dens[i][n]` (zero outside the feasible band), strictness flags for the
-relation entering each position, and the feasible band [lbs[i], ubs[i]].
-Exact kernels carry values as integers scaled by a common denominator; the
-scale is a multiple of every denominator product, so every division below
-is exact integer division.
+A kernel works on a pre-validated plan: per-position rows indexed by n,
+strictness flags for the relation entering each position, and the
+feasible band [lbs[i], ubs[i]].  For the exact kernels a row holds the
+denominators `dens[i][n]` (zero outside the band), and values are carried
+as integers scaled by a common denominator; the scale is a multiple of
+every denominator product, so every division below is exact integer
+division.  For the residue kernel a row holds the inverse denominators.
 """
 
-from .errors import NonUnitError
+from itertools import accumulate
 
 
 def enum_sum(dens, stricts, lbs, ubs, scale):
@@ -67,38 +68,23 @@ def dp_sum(dens, stricts, lbs, ubs, lams):
     return front
 
 
-def dp_sum_mod(dens, stricts, lbs, ubs, modulus):
-    """The dynamic program in Z/modulus, inverting each denominator.
+def dp_sum_mod(rows, stricts, lbs, ubs, modulus):
+    """The dynamic program in Z/modulus, multiplying by inverse denominators.
 
-    `dens` entries are already reduced mod `modulus`.  Every point of the
-    feasible band is reached by some tuple, so its denominator is a true
-    factor of the sum: a non-unit anywhere on the band raises
-    NonUnitError naming the position and value, whatever the running
-    coefficient happens to be.
+    `rows[i][n]` is the inverse mod `modulus` of the denominator of
+    position i at n; the planner has already checked that every point of
+    the feasible band has one, so nothing is inverted here.  Layer i is
+    the prefix sums of layer i - 1 (through n - 1 for a strict relation,
+    through n for a weak one) times the row entries on the band.
     """
-    size = len(dens[0])
+    size = len(rows[0])
     front = [0] * size
     front[0] = 1
-    for i in range(len(dens)):
-        lo, hi = lbs[i], ubs[i]
-        d = dens[i]
+    for row, strict, lo, hi in zip(rows, stricts, lbs, ubs):
+        runs = list(accumulate(front[:hi + 1]))
+        start = lo - 1 if strict else lo
         nxt = [0] * size
-        run = 0
-        ptr = 0
-        for n in range(lo, hi + 1):
-            target = n - 1 if stricts[i] else n
-            while ptr <= target:
-                run += front[ptr]
-                ptr += 1
-            try:
-                inv = pow(d[n], -1, modulus)
-            except ValueError:
-                raise NonUnitError(
-                    f"denominator {d[n]} at position {i + 1}, n={n} "
-                    f"is not a unit mod {modulus}",
-                    position=i + 1, n=n, value=d[n], modulus=modulus,
-                ) from None
-            if run:
-                nxt[n] = (run % modulus) * inv % modulus
+        nxt[lo:hi + 1] = [run * inv % modulus
+                          for run, inv in zip(runs[start:], row[lo:hi + 1])]
         front = nxt
-    return sum(front[lbs[-1]:ubs[-1] + 1]) % modulus
+    return sum(front) % modulus

@@ -12,7 +12,8 @@ prefix-sum dynamic program used everywhere at scale.  The program's final
 layer holds the value at each endpoint v, the sum over the tuples whose
 last variable is v; `endpoint_values` returns that layer, and connected
 sums and the binomial identity are built from it.  `eval_dp_mod` runs
-the dynamic program in Z/m.  All three run on the pure-Python kernels in
+the dynamic program in Z/m on rows of inverse denominators read from
+cached inverse tables.  All three run on the pure-Python kernels in
 `zetaflat._kernels`.
 
 Internally values are integers scaled by lcm(1..N)^degree, so no rational
@@ -22,6 +23,7 @@ reduction happens until the final Fraction is formed.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -263,29 +265,95 @@ def _bands(spec, upper):
     return stricts, lbs, ubs
 
 
-def _plan(spec, upper):
-    """Denominator tables and bands for evaluating `spec` at fence `upper`.
+def _plan(spec, upper, modulus=None):
+    """Rows and bands for evaluating `spec` at fence `upper`.
 
-    Returns None when the tuple set is empty.  Raises if some reachable
-    point has a zero denominator (a weight undefined there).
+    Without a modulus, row i holds the exact denominator of position i at
+    each band point n (zero off the band).  With one, it holds the inverse
+    of that denominator mod `modulus`, read from the cached tables of
+    `_residue_row`.  Returns None when the tuple set is empty.  Raises
+    ValueError if some reachable point has a zero denominator (a weight
+    undefined there), and with a modulus NonUnitError at the first band
+    point, in (position, n) order, whose denominator is not a unit.
     """
     if upper < 0:
         raise ValueError("upper fence must be non-negative")
     stricts, lbs, ubs = _bands(spec, upper)
     if any(lb > ub for lb, ub in zip(lbs, ubs)):
         return None
-    dens = []
-    for i, pos in enumerate(spec.positions):
-        row = [0] * (upper + 1)
-        for n in range(lbs[i], ubs[i] + 1):
-            d = pos.weight.denominator_at(n, upper)
-            if d == 0:
-                raise ValueError(
-                    f"weight at position {i + 1} undefined at n={n} "
-                    f"(zero denominator with fence {upper})")
-            row[n] = d
-        dens.append(row)
-    return dens, stricts, lbs, ubs
+    weights = [pos.weight for pos in spec.positions]
+    for i, w in enumerate(weights):
+        # A weight is undefined only at n = 0 (harmonic part) or n = upper
+        # (reflected part), the two ends a band can reach.
+        if w.harm and lbs[i] == 0:
+            n = 0
+        elif w.refl and ubs[i] == upper:
+            n = upper
+        else:
+            continue
+        raise ValueError(
+            f"weight at position {i + 1} undefined at n={n} "
+            f"(zero denominator with fence {upper})")
+    if modulus is None:
+        rows = []
+        for w, lo, hi in zip(weights, lbs, ubs):
+            row = [0] * (upper + 1)
+            for n in range(lo, hi + 1):
+                row[n] = w.denominator_at(n, upper)
+            rows.append(row)
+        return rows, stricts, lbs, ubs
+    rows = [_residue_row(w.refl, w.harm, upper, modulus) for w in weights]
+    for i, row in enumerate(rows):
+        try:
+            n = row.index(0, lbs[i], ubs[i] + 1)
+        except ValueError:
+            continue
+        value = weights[i].denominator_at(n, upper) % modulus
+        raise NonUnitError(
+            f"denominator {value} at position {i + 1}, n={n} "
+            f"is not a unit mod {modulus}",
+            position=i + 1, n=n, value=value, modulus=modulus)
+    return rows, stricts, lbs, ubs
+
+
+@lru_cache(maxsize=256)
+def _inverse_table(upper, modulus):
+    """inv[i] = 1/i mod modulus for 0 <= i <= upper, and 0 where i is no unit.
+
+    Built by inv[i] = -(modulus // i) * inv[modulus % i], which holds
+    whenever modulus % i is a unit (for a prime power p^n, at every
+    i < p); the other entries fall back to pow.  Kept as a compact array
+    when the modulus fits in 64 bits.  The cache holds a table for each
+    of the 138 (prime, exponent) pairs a sweep under the default caps can
+    reach (primes up to 199, exponents up to 3).
+    """
+    inv = [0] * (upper + 1)
+    for i in range(1, upper + 1):
+        r = i % modulus
+        if r < i:
+            inv[i] = inv[r]
+        elif inv[modulus % r]:
+            inv[i] = -(modulus // r) * inv[modulus % r] % modulus
+        elif math.gcd(r, modulus) == 1:
+            inv[i] = pow(r, -1, modulus)
+    return array("q", inv) if modulus < 1 << 63 else inv
+
+
+@lru_cache(maxsize=8)
+def _residue_row(refl, harm, upper, modulus):
+    """1/((upper - n)^refl * n^harm) mod modulus for 0 <= n <= upper.
+
+    An entry is 0 exactly where the denominator is not a unit: a factor
+    with a positive exponent has no inverse there.  A check at one fence
+    and modulus reads a few weights, so a small cache serves it; a sweep
+    moves to the next prime after each check.
+    """
+    inv = _inverse_table(upper, modulus)
+    row = inv if harm == 1 else [pow(x, harm, modulus) for x in inv]
+    if refl:
+        row = [pow(x, refl, modulus) * y % modulus
+               for x, y in zip(reversed(inv), row)]
+    return tuple(row)
 
 
 def eval_enum(spec: ChainSpec, upper) -> Fraction:
@@ -325,19 +393,18 @@ def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:
     """Sum the chain in Z/modulus.
 
     Every per-position denominator on the feasible band must be a unit;
-    otherwise NonUnitError identifies the first offender.  When the exact
-    value has a denominator coprime to the modulus, this equals the exact
-    value reduced.
+    otherwise NonUnitError identifies the first offender.  The kernel
+    multiplies by inverse denominators taken from tables cached per
+    (upper, modulus), so nothing is inverted per band point.  When the
+    exact value has a denominator coprime to the modulus, this equals the
+    exact value reduced.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    plan = _plan(spec, upper)
+    plan = _plan(spec, upper, modulus)
     if plan is None:
         return Residue(0, modulus)
-    dens, stricts, lbs, ubs = plan
-    dens_mod = [[d % modulus for d in row] for row in dens]
-    value = dp_sum_mod(dens_mod, stricts, lbs, ubs, modulus)
-    return Residue(value, modulus)
+    return Residue(dp_sum_mod(*plan, modulus), modulus)
 
 
 @dataclass(frozen=True)

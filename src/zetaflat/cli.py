@@ -96,6 +96,18 @@ def parse_range(text):
         raise ValueError(f"bad range {text!r}, expected LO..HI") from None
 
 
+def parse_exponents(text):
+    """'3,1,2' -> [1, 2, 3]: the --n-values lifting exponents, sorted."""
+    try:
+        values = sorted({int(t) for t in text.split(",")})
+    except ValueError:
+        raise ValueError(f"bad --n-values {text!r}, expected comma-separated "
+                         f"positive integers") from None
+    if values[0] < 1:
+        raise ValueError(f"lifting exponents must be positive, got {values[0]}")
+    return values
+
+
 def parse_side(text):
     """Index argument for a connected sum; '-' or '' is the empty side."""
     if text in ("-", ""):
@@ -335,9 +347,7 @@ def verify_tasks(args, caps):
         caps.check_weight(Index((args.max_weight,)))
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
-        n_values = sorted({int(t) for t in args.n_values.split(",")})
-        if n_values[0] < 1:
-            raise ValueError(f"lifting exponents must be positive, got {n_values[0]}")
+        n_values = parse_exponents(args.n_values)
         check = padic_duality_check if suite == "padic" else seki_lifting_check
         fixtures = None
         for n in n_values:

@@ -43,8 +43,8 @@ from .index_algebra import (
     oslash,
     parse_index,
     refinements,
-    refines,
     shift_vectors,
+    squeeze_lattice,
 )
 from .reports import make_report
 
@@ -227,18 +227,13 @@ def padic_duality_check(k, p, n=1):
     if not k:
         raise ValueError("need a nonempty index")
     _check_prime_exponent(p, n)
-    mod = p ** n
     lhs = _zeta_residue(tuple(k), p, n)
-    total = Residue(0, mod)
+    total = 0
     for i in range(n):
-        weight = Residue(p ** i, mod)
         for shift in shift_vectors(k.depth, i):
-            lo = oplus(shift, k)
-            hi = oslash(shift, k)
-            for m in refinements(lo):
-                if refines(m, hi):
-                    total = total + _zeta_residue(tuple(m), p, n) * weight
-    rhs = -total if k.depth % 2 else total
+            for m in squeeze_lattice(oplus(shift, k), oslash(shift, k)):
+                total += _zeta_residue(tuple(m), p, n).value * p ** i
+    rhs = Residue(-total if k.depth % 2 else total, p ** n)
     return make_report(
         "padic-duality",
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)

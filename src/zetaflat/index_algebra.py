@@ -3,8 +3,9 @@
 An index is a finite tuple of positive integers.  This module is pure
 combinatorics on such tuples: weight and depth, the two block
 decompositions and the dualities built on them, the comma/plus refinement
-order with coarsening and refinement enumerations, block-boundary position
-sets, and the shift operations pairing a non-negative vector with an index.
+order with coarsening and refinement enumerations and the intervals
+between two indices, block-boundary position sets, and the shift
+operations pairing a non-negative vector with an index.
 
 Everything here is exact and deterministic; enumerations come back sorted
 lexicographically so downstream sweeps and reports are reproducible.
@@ -235,6 +236,31 @@ def refinements(k) -> list:
         for piece in combo:
             parts.extend(piece)
         out.append(Index(parts))
+    return sorted(out)
+
+
+def squeeze_lattice(coarse, fine) -> list:
+    """All indices m with coarse a coarsening of m and m one of fine.
+
+    Generated directly: their comma sets are commas(coarse) | S for every
+    subset S of commas(fine) - commas(coarse), so 2^|difference| indices
+    instead of every refinement of coarse filtered by `refines`.  Empty
+    when coarse is not a coarsening of fine; sorted lexicographically.
+    """
+    coarse = as_index(coarse)
+    fine = as_index(fine)
+    if not coarse or not fine:
+        raise ValueError("the empty index has no refinements")
+    w = coarse.weight
+    base = _comma_positions(coarse)
+    commas = _comma_positions(fine)
+    if fine.weight != w or not base <= commas:
+        return []
+    extra = sorted(commas - base)
+    out = []
+    for take in range(len(extra) + 1):
+        for sub in itertools.combinations(extra, take):
+            out.append(_from_commas(w, base.union(sub)))
     return sorted(out)
 
 

@@ -7,6 +7,7 @@ relations.  Everything else is then measured against eval_enum.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -33,9 +34,11 @@ from zetaflat.chainsum import (
     tilde_chain,
     zeta_chain,
     zeta_star_chain,
+    _inverse_table,
     _plan,
 )
 from zetaflat.errors import NonUnitError
+from zetaflat.finite_padic import primes_in
 from zetaflat.index_algebra import indices_up_to_weight
 
 
@@ -294,17 +297,110 @@ def test_dp_mod_matches_exact_reduction():
 
 
 def test_dp_mod_non_unit_position():
-    # fence 6 puts denominator 3 on the band; 3 is not a unit mod 9
-    with pytest.raises(NonUnitError) as info:
-        eval_dp_mod(zeta_chain((1,)), 6, 9)
-    err = info.value
-    assert err.position == 1
-    assert err.n == 3
-    assert err.value == 3 % 9
-    assert err.modulus == 9
+    cases = [
+        # fence 6 puts denominator 3 on the band; 3 is not a unit mod 9
+        (zeta_chain((1,)), 6, (1, 3, 3)),
+        # fence 7: n=3 is on the first band, so position 1 is the offender
+        (zeta_chain((1, 2)), 7, (1, 3, 3)),
+        # fence 4: the first band is {1, 2}; position 2 (exponent 2)
+        # meets 3^2, which is 0 mod 9
+        (zeta_chain((1, 2)), 4, (2, 3, 0)),
+        # a reflected factor: 1/(6 - n) at n = 3
+        (flat_chain((2,)), 6, (1, 3, 3)),
+    ]
+    for spec, upper, want in cases:
+        with pytest.raises(NonUnitError) as info:
+            eval_dp_mod(spec, upper, 9)
+        err = info.value
+        assert (err.position, err.n, err.value, err.modulus) == want + (9,)
+        position, n, value = want
+        assert str(err) == (f"denominator {value} at position {position}, "
+                            f"n={n} is not a unit mod 9")
     # same chain over a coprime modulus is fine
     assert eval_dp_mod(zeta_chain((1,)), 6, 7) == Residue.from_fraction(
         eval_dp(zeta_chain((1,)), 6), 7)
+
+
+def first_non_unit(spec, upper, modulus):
+    """(position, n, denominator mod modulus) of the first reachable point,
+    in (position, n) order, whose denominator is not a unit; None if none.
+
+    Reachability comes from the filtered product space, as in oracle_sum.
+    """
+    reached = set()
+    for tup in itertools.product(range(0, upper + 1), repeat=spec.length):
+        prev, ok = 0, True
+        for pos, n in zip(spec.positions, tup):
+            ok = ok and (prev < n if pos.strict_before else prev <= n)
+            prev = n
+        if ok and (prev < upper if spec.terminal_strict else prev <= upper):
+            reached.update(enumerate(tup))
+    for i, n in sorted(reached):
+        w = spec.positions[i].weight
+        d = (upper - n) ** w.refl * n ** w.harm
+        if math.gcd(d, modulus) != 1:
+            return i + 1, n, d % modulus
+    return None
+
+
+def test_dp_mod_first_non_unit_against_oracle():
+    rng = random.Random(5099)
+    moduli = (4, 6, 8, 9, 10, 12, 15, 25, 27, 49)
+    raised = done = 0
+    while done < 150:
+        spec = random_spec(rng, max_len=3)
+        upper = rng.randint(0, 9)
+        if not spec_is_safe(spec, upper):
+            continue
+        modulus = rng.choice(moduli)
+        want = first_non_unit(spec, upper, modulus)
+        if want is None:
+            exact = eval_dp(spec, upper)
+            assert eval_dp_mod(spec, upper, modulus) == Residue.from_fraction(
+                exact, modulus), (spec, upper, modulus)
+        else:
+            with pytest.raises(NonUnitError) as info:
+                eval_dp_mod(spec, upper, modulus)
+            err = info.value
+            assert (err.position, err.n, err.value) == want, (spec, upper, modulus)
+            assert err.modulus == modulus
+            raised += 1
+        done += 1
+    assert 30 < raised < 120
+
+
+def test_dp_mod_zero_denominator_is_plain_value_error():
+    cases = [
+        # 1/n at a weak first position reaches n = 0
+        (ChainSpec((Position(HARMONIC, False),)), 5, "position 1 undefined at n=0"),
+        # 1/(N - n) with a weak terminal relation reaches n = N
+        (ChainSpec((Position(REFLECTED, True),), terminal_strict=False), 5,
+         "position 1 undefined at n=5"),
+        # the zero at position 2 wins over the non-unit 3 at position 1
+        (ChainSpec((Position(HARMONIC, True), Position(REFLECTED, False)),
+                   terminal_strict=False), 6, "position 2 undefined at n=6"),
+    ]
+    for spec, upper, text in cases:
+        for modulus in (7, 9):
+            with pytest.raises(ValueError) as info:
+                eval_dp_mod(spec, upper, modulus)
+            assert not isinstance(info.value, NonUnitError)
+            assert text in str(info.value)
+
+
+def test_inverse_table_against_pow():
+    for p in primes_in(2, 199):
+        for n in (1, 2, 3):
+            m = p ** n
+            inv = _inverse_table(p, m)
+            assert len(inv) == p + 1 and inv[0] == 0 and inv[p] == 0
+            assert all(inv[i] == pow(i, -1, m) for i in range(1, p)), (p, n)
+    # composite moduli and fences past the modulus: non-units read 0
+    for m in range(2, 40):
+        inv = _inverse_table(2 * m + 3, m)
+        for i in range(2 * m + 4):
+            want = pow(i, -1, m) if math.gcd(i, m) == 1 else 0
+            assert inv[i] == want, (m, i)
 
 
 def test_residue_arithmetic():

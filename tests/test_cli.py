@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from zetaflat import cli
-from zetaflat.cli import entry, parse_range, parse_side
+from zetaflat.cli import entry, parse_exponents, parse_range, parse_side
 from zetaflat.index_algebra import Index, indices_up_to_weight
 from zetaflat.mzv_real import log2_discretization_check
 
@@ -216,6 +216,16 @@ def test_verify_rejects_nonpositive_exponent(capsys):
             assert "PASS" not in out + err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "abc", "2,x"])
+def test_verify_malformed_exponents_name_the_flag(text, capsys):
+    for suite in ("padic", "seki"):
+        code, out, err = run_cli(["verify", suite, "--max-weight", "2",
+                                  "--n-values", text], capsys)
+        assert code == 2 and out == "", (suite, text)
+        assert err == (f"error: bad --n-values '{text}', expected "
+                       f"comma-separated positive integers\n"), (suite, text)
+
+
 def test_verify_missing_threshold_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZETAFLAT_FIXTURES_DIR", str(tmp_path))
     code, out, err = run_cli(["verify", "seki", "--n-values", "2"], capsys)
@@ -258,6 +268,7 @@ def test_parse_helpers():
     assert parse_side("2,1") == Index((2, 1))
     with pytest.raises(ValueError):
         parse_range("a..b")
+    assert parse_exponents("3,1,3,2") == [1, 2, 3]
 
 
 def test_console_module_invocation():

@@ -32,6 +32,7 @@ from zetaflat.index_algebra import (
     refinements,
     refines,
     shift_vectors,
+    squeeze_lattice,
 )
 
 
@@ -315,6 +316,34 @@ def test_oplus_oslash_validation():
         oplus((1,), (2, 3))
     with pytest.raises(ValueError):
         oslash((-1, 0), (2, 3))
+
+
+def squeeze_oracle(coarse, fine):
+    return sorted(m for m in refinements(coarse) if refines(m, fine))
+
+
+def test_squeeze_lattice_equals_refinement_filter():
+    cases = 0
+    for k in indices_up_to_weight(6):
+        for total in range(4):
+            for shift in shift_vectors(k.depth, total):
+                lo, hi = oplus(shift, k), oslash(shift, k)
+                assert squeeze_lattice(lo, hi) == squeeze_oracle(lo, hi), (k, shift)
+                cases += 1
+    assert cases == 1519
+
+
+def test_squeeze_lattice_any_pair():
+    # every pair of one weight, comparable or not, and a weight mismatch
+    for w in range(1, 6):
+        for coarse in compositions_of(w):
+            for fine in compositions_of(w):
+                assert squeeze_lattice(coarse, fine) == squeeze_oracle(coarse, fine)
+    assert squeeze_lattice((3,), (1, 1)) == []
+    assert squeeze_lattice((3, 2), (1, 2, 1, 1)) == [
+        Index((1, 2, 1, 1)), Index((1, 2, 2)), Index((3, 1, 1)), Index((3, 2))]
+    with pytest.raises(ValueError):
+        squeeze_lattice((), (1,))
 
 
 def test_shift_vectors():
