@@ -1,11 +1,16 @@
 """Combinatorics of exponent indices.
 
 An index is a finite tuple of positive integers.  This module is pure
-combinatorics on such tuples: weight and depth, the two block
-decompositions and the dualities built on them, the comma/plus refinement
-order with coarsening and refinement enumerations and the intervals
-between two indices, block-boundary position sets, and the shift
-operations pairing a non-negative vector with an index.
+combinatorics on such tuples: weight and depth, the two dualities, the
+comma/plus refinement order with its intervals (coarsenings, refinements
+and all compositions of a weight are special cases), block-boundary
+position sets, and the shift operations pairing a non-negative vector
+with an index.
+
+All of it reads one encoding: an index of weight w is its comma set, the
+subset of {1..w-1} where its parts end.  Merging parts deletes commas,
+Hoffman's duality complements the set, and the duality of multiple zeta
+values complements it in {1..w-2} and reflects it.
 
 Everything here is exact and deterministic; enumerations come back sorted
 lexicographically so downstream sweeps and reports are reproducible.
@@ -15,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 
 class Index(tuple):
@@ -88,119 +92,73 @@ def format_index(k) -> str:
     return ",".join(str(p) for p in as_index(k))
 
 
-@dataclass(frozen=True)
-class ABDecomposition:
-    """Run-length block decomposition of an index.
-
-    Each block is a pair (a, b) of positive integers.  In the "admissible"
-    flavor a block (a, b) stands for the segment ({1}^(a-1), b+1); the last
-    entry of the index being >= 2 makes this parse exist and be unique.  In
-    the "hoffman" flavor every block but the last reads the same way, while
-    the final block (a, b) stands for ({1}^(a-1), b) with b >= 1 arbitrary,
-    which covers every nonempty index.
-    """
-
-    pairs: tuple
-    flavor: str
-
-    def __post_init__(self):
-        if self.flavor not in ("admissible", "hoffman"):
-            raise ValueError(f"unknown decomposition flavor {self.flavor!r}")
-        if not self.pairs:
-            raise ValueError("decomposition needs at least one block")
-        for a, b in self.pairs:
-            if a < 1 or b < 1:
-                raise ValueError(f"block entries must be positive, got {(a, b)}")
-
-    def reconstruct(self) -> Index:
-        parts = []
-        last = len(self.pairs) - 1
-        for i, (a, b) in enumerate(self.pairs):
-            parts.extend([1] * (a - 1))
-            if self.flavor == "hoffman" and i == last:
-                parts.append(b)
-            else:
-                parts.append(b + 1)
-        return Index(parts)
-
-
-def ab_decompose(k) -> ABDecomposition:
-    """Unique admissible-flavor decomposition of an admissible index."""
-    k = as_index(k)
-    if not k.admissible:
-        raise ValueError(f"index {tuple(k)} is not admissible")
-    pairs = []
-    i = 0
-    while i < len(k):
-        a = 1
-        while k[i] == 1:
-            a += 1
-            i += 1
-        pairs.append((a, k[i] - 1))
-        i += 1
-    return ABDecomposition(tuple(pairs), "admissible")
-
-
-def hoffman_decompose(k) -> ABDecomposition:
-    """Unique hoffman-flavor decomposition of a nonempty index."""
+def _nonempty(k, what) -> Index:
     k = as_index(k)
     if not k:
-        raise ValueError("cannot decompose the empty index")
-    pairs = []
-    i = 0
-    r = len(k)
-    while True:
-        a = 1
-        while i < r - 1 and k[i] == 1:
-            a += 1
-            i += 1
-        if i == r - 1:
-            pairs.append((a, k[i]))
-            return ABDecomposition(tuple(pairs), "hoffman")
-        pairs.append((a, k[i] - 1))
-        i += 1
+        raise ValueError(f"the empty index has no {what}")
+    return k
 
 
-def dual(k) -> Index:
-    """Duality on admissible indices: reverse the blocks and swap roles.
-
-    Under ({1}^(a_1-1), b_1+1, ..., {1}^(a_s-1), b_s+1) the image is
-    ({1}^(b_s-1), a_s+1, ..., {1}^(b_1-1), a_1+1).  An involution that
-    preserves weight.
-    """
-    dec = ab_decompose(k)
-    swapped = tuple((b, a) for a, b in reversed(dec.pairs))
-    return ABDecomposition(swapped, "admissible").reconstruct()
-
-
-def hoffman_dual(k) -> Index:
-    """Duality on nonempty indices swapping the two block roles in place.
-
-    Under the hoffman-flavor parse ({1}^(a_1-1), b_1+1, ..., {1}^(a_s-1), b_s)
-    the image is (a_1, {1}^(b_1-1), a_2+1, ..., a_s+1, {1}^(b_s-1)).  An
-    involution that preserves weight.
-    """
-    dec = hoffman_decompose(k)
-    parts = []
-    for i, (a, b) in enumerate(dec.pairs):
-        parts.append(a if i == 0 else a + 1)
-        parts.extend([1] * (b - 1))
-    return Index(parts)
-
-
-def _comma_positions(k) -> frozenset:
-    """Positions in {1..weight-1} where k places a part boundary."""
-    acc = 0
-    out = set()
-    for p in k[:-1]:
-        acc += p
-        out.add(acc)
-    return frozenset(out)
+def _commas(k) -> frozenset:
+    """The comma set of k: the positions in {1..weight-1} where a part ends."""
+    return frozenset(itertools.accumulate(k[:-1]))
 
 
 def _from_commas(weight, commas) -> Index:
-    cuts = [0] + sorted(commas) + [weight]
-    return Index(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
+    """The index of the given weight whose comma set is `commas`."""
+    cuts = [0, *sorted(commas), weight]
+    # Cuts strictly increase, so every part is a positive int already.
+    return tuple.__new__(Index, [b - a for a, b in zip(cuts, cuts[1:])])
+
+
+def dual(k) -> Index:
+    """Duality on admissible indices: the reflected comma-set complement.
+
+    For k of weight w the image has comma set {w-1-c : c in {1..w-2} not a
+    comma of k}; on the word ({1}^(a_1-1), b_1+1, ..., {1}^(a_s-1), b_s+1)
+    this is ({1}^(b_s-1), a_s+1, ..., {1}^(b_1-1), a_1+1).  An involution
+    that preserves weight.
+    """
+    k = as_index(k)
+    if not k.admissible:
+        raise ValueError(f"index {tuple(k)} is not admissible")
+    w = k.weight
+    commas = _commas(k)
+    return _from_commas(w, {w - 1 - c for c in range(1, w - 1) if c not in commas})
+
+
+def hoffman_dual(k) -> Index:
+    """Hoffman's comma/plus duality on nonempty indices.
+
+    The image of k of weight w has the complement of k's comma set in
+    {1..w-1} as its comma set: every comma becomes a plus and every plus a
+    comma.  An involution that preserves weight.
+    """
+    k = _nonempty(k, "Hoffman dual")
+    w = k.weight
+    return _from_commas(w, set(range(1, w)) - _commas(k))
+
+
+def squeeze_lattice(coarse, fine) -> list:
+    """All indices m with coarse a coarsening of m and m one of fine.
+
+    Their comma sets are commas(coarse) | S for every subset S of
+    commas(fine) - commas(coarse), so the interval has 2^|difference|
+    elements.  Empty when coarse is not a coarsening of fine.  Keeping a
+    comma before dropping it, position by position, yields the indices
+    in lexicographic order.
+    """
+    coarse = _nonempty(coarse, "refinements")
+    fine = _nonempty(fine, "refinements")
+    w = coarse.weight
+    base = _commas(coarse)
+    commas = _commas(fine)
+    if fine.weight != w or not base <= commas:
+        return []
+    commas = sorted(commas)
+    choices = [(True,) if c in base else (True, False) for c in commas]
+    return [_from_commas(w, itertools.compress(commas, keep))
+            for keep in itertools.product(*choices)]
 
 
 def coarsenings(k) -> list:
@@ -209,16 +167,8 @@ def coarsenings(k) -> list:
     Contains k itself and the single-part index (weight,); exactly
     2^(depth-1) elements, sorted lexicographically.
     """
-    k = as_index(k)
-    if not k:
-        raise ValueError("the empty index has no coarsenings")
-    w = k.weight
-    commas = sorted(_comma_positions(k))
-    out = []
-    for take in range(len(commas) + 1):
-        for sub in itertools.combinations(commas, take):
-            out.append(_from_commas(w, sub))
-    return sorted(out)
+    k = _nonempty(k, "coarsenings")
+    return squeeze_lattice((k.weight,), k)
 
 
 def refinements(k) -> list:
@@ -226,58 +176,15 @@ def refinements(k) -> list:
 
     Exactly prod(2^(k_i - 1)) elements, sorted lexicographically.
     """
-    k = as_index(k)
-    if not k:
-        raise ValueError("the empty index has no refinements")
-    per_part = [compositions_of(p) for p in k]
-    out = []
-    for combo in itertools.product(*per_part):
-        parts = []
-        for piece in combo:
-            parts.extend(piece)
-        out.append(Index(parts))
-    return sorted(out)
-
-
-def squeeze_lattice(coarse, fine) -> list:
-    """All indices m with coarse a coarsening of m and m one of fine.
-
-    Generated directly: their comma sets are commas(coarse) | S for every
-    subset S of commas(fine) - commas(coarse), so 2^|difference| indices
-    instead of every refinement of coarse filtered by `refines`.  Empty
-    when coarse is not a coarsening of fine; sorted lexicographically.
-    """
-    coarse = as_index(coarse)
-    fine = as_index(fine)
-    if not coarse or not fine:
-        raise ValueError("the empty index has no refinements")
-    w = coarse.weight
-    base = _comma_positions(coarse)
-    commas = _comma_positions(fine)
-    if fine.weight != w or not base <= commas:
-        return []
-    extra = sorted(commas - base)
-    out = []
-    for take in range(len(extra) + 1):
-        for sub in itertools.combinations(extra, take):
-            out.append(_from_commas(w, base.union(sub)))
-    return sorted(out)
+    k = _nonempty(k, "refinements")
+    return squeeze_lattice(k, (1,) * k.weight)
 
 
 def compositions_of(w) -> list:
     """All compositions of the positive integer w, sorted lexicographically."""
     if w < 1:
         raise ValueError("compositions are defined for positive integers")
-    out = []
-    for take in range(w):
-        for sub in itertools.combinations(range(1, w), take):
-            out.append(_from_commas(w, sub))
-    return sorted(out)
-
-
-def indices_of_weight(w) -> list:
-    """Alias for compositions_of, reading the integer as an index weight."""
-    return compositions_of(w)
+    return squeeze_lattice((w,), (1,) * w)
 
 
 def indices_up_to_weight(w) -> list:
@@ -294,33 +201,25 @@ def refines(coarse, fine) -> bool:
     fine = as_index(fine)
     if coarse.weight != fine.weight or not coarse or not fine:
         return False
-    return _comma_positions(coarse) <= _comma_positions(fine)
+    return _commas(coarse) <= _commas(fine)
 
 
 def boundary_set(k) -> frozenset:
     """Positions opening a block of k, final fence included.
 
     For k = (k_1, ..., k_r) of weight w this is {1, k_1+1, k_1+k_2+1, ...,
-    w+1}: the positions, in a chain of w variables fenced by 0 and N, where
-    the relation tightens to strict.
+    w+1}, the comma set shifted by one plus both fences: the positions, in
+    a chain of w variables fenced by 0 and N, where the relation tightens
+    to strict.
     """
     k = as_index(k)
-    if not k:
-        raise ValueError("the empty index has no boundary set")
-    out = {1}
-    acc = 0
-    for p in k:
-        acc += p
-        out.add(acc + 1)
-    return frozenset(out)
+    return boundary_set_tilde(k) | {k.weight + 1}
 
 
 def boundary_set_tilde(k) -> frozenset:
     """Block-opening positions of k without the final fence."""
-    k = as_index(k)
-    if not k:
-        raise ValueError("the empty index has no boundary set")
-    return frozenset(boundary_set(k) - {k.weight + 1})
+    k = _nonempty(k, "boundary set")
+    return frozenset({1, *(c + 1 for c in _commas(k))})
 
 
 def oplus(shift, k) -> Index:

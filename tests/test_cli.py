@@ -1,13 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import zetaflat
 from zetaflat import cli
 from zetaflat.cli import entry, parse_exponents, parse_range, parse_side
 from zetaflat.index_algebra import Index, indices_up_to_weight
 from zetaflat.mzv_real import log2_discretization_check
+
+
+# `python -m zetaflat.cli` in a child process imports the tree under test.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(zetaflat.__file__)),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(argv, capsys):
@@ -180,10 +188,13 @@ def test_verify_csv_needs_single_index(capsys):
 
 
 def test_verify_jobs_matches_sequential(capsys):
-    argv = ["verify", "telescope", "--max-weight", "3", "--max-upper", "4"]
-    _, seq, _ = run_cli(argv, capsys)
-    _, par, _ = run_cli(argv + ["--jobs", "3"], capsys)
-    assert seq == par
+    # The second grid (465 tasks) ships its tasks in chunks of 29.
+    for argv, jobs in [
+            (["verify", "telescope", "--max-weight", "3", "--max-upper", "4"], "3"),
+            (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "2")]:
+        _, seq, _ = run_cli(argv, capsys)
+        _, par, _ = run_cli(argv + ["--jobs", jobs], capsys)
+        assert seq == par
 
 
 def test_bad_range_and_unknown_suite(capsys):
@@ -250,7 +261,7 @@ def test_closed_stdout_exits_141_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "zetaflat.cli", "verify", "main",
          "--max-weight", "5", "--max-upper", "40", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     first = proc.stdout.readline()
     proc.stdout.close()
     code = proc.wait(timeout=120)
@@ -275,6 +286,6 @@ def test_console_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "zetaflat.cli", "eval", "zeta",
          "--index", "2", "--upper", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "49/36\n"

@@ -35,8 +35,8 @@ from zetaflat.finite_padic import (
 from zetaflat.index_algebra import (
     Index,
     coarsenings,
+    compositions_of,
     hoffman_dual,
-    indices_of_weight,
     indices_up_to_weight,
 )
 from zetaflat.mzv_real import zeta_trunc
@@ -284,7 +284,7 @@ def test_packaged_thresholds_cover_the_grid():
     for name in (PADIC_FIXTURES, SEKI_FIXTURES):
         table = load_thresholds(name)
         for w in range(1, 6):
-            for k in indices_of_weight(w):
+            for k in compositions_of(w):
                 for n in (2, 3):
                     assert (Index(k), n) in table, (name, k, n)
         for p0 in table.values():
