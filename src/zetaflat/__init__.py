@@ -12,7 +12,6 @@ from .chainsum import (
     Position,
     Residue,
     Weight,
-    decay_chain,
     endpoint_values,
     equality_strata,
     eval_dp,
@@ -55,13 +54,13 @@ from .index_algebra import (
     shift_vectors,
 )
 from .mzv_real import (
-    decay_sum,
     discrepancy,
     duality_convergence,
     riemann_sum,
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
+    zeta_trunc_column,
 )
 from .reports import VerificationReport, decimal_str, fraction_str
 
@@ -88,8 +87,6 @@ __all__ = [
     "coarsenings",
     "connected_sum",
     "connector",
-    "decay_chain",
-    "decay_sum",
     "decimal_str",
     "discrepancy",
     "dual",
@@ -125,4 +122,5 @@ __all__ = [
     "zeta_star_mod",
     "zeta_star_trunc",
     "zeta_trunc",
+    "zeta_trunc_column",
 ]

@@ -2,11 +2,11 @@
 
 A kernel works on a pre-validated plan: per-position rows indexed by n,
 strictness flags for the relation entering each position, and the
-feasible band [lbs[i], ubs[i]].  For the exact kernels a row holds the
-denominators `dens[i][n]` (zero outside the band), and values are carried
-as integers scaled by a common denominator; the scale is a multiple of
-every denominator product, so every division below is exact integer
-division.  For the residue kernel a row holds the inverse denominators.
+feasible band [lbs[i], ubs[i]], the only part of a row a kernel reads.
+For the exact kernels a row holds the denominators `dens[i][n]`, and
+values are carried as integers scaled by a common denominator; the scale
+is a multiple of every denominator product, so every division below is
+exact.  For the residue kernel a row holds the inverse denominators.
 """
 
 from itertools import accumulate

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .connected_sum import (
     connected_sum,
@@ -51,6 +52,7 @@ from .mzv_real import (
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
+    zeta_trunc_column,
 )
 from .reports import VerificationReport, decimal_str, fraction_str, make_report
 
@@ -233,17 +235,11 @@ def _telescope_report(k, upper):
 
 def _transport_sweep_report(which, upper):
     started = time.perf_counter()
-    bad = []
-    if which == 1:
-        for m in range(1, upper + 1):
-            for n in range(1, m + 1):
-                if not transport_weight_down_check(upper, n, m).passed:
-                    bad.append((n, m))
-    else:
-        for m in range(1, upper + 1):
-            for n in range(0, m):
-                if not transport_weight_up_check(upper, n, m).passed:
-                    bad.append((n, m))
+    # transport1 runs over 0 < n <= m <= N, transport2 over 0 <= n < m <= N
+    check, low = ((transport_weight_down_check, 1) if which == 1
+                  else (transport_weight_up_check, 0))
+    bad = [(n, m) for m in range(1, upper + 1) for n in range(low, m + low)
+           if not check(upper, n, m).passed]
     return make_report(f"transport{which}", {"N": upper}, bad, [], started)
 
 
@@ -278,10 +274,17 @@ def _convergence_report(k, lo, hi, rows, started):
     )
 
 
-def _main_identity_report(k, upper, method):
+@lru_cache(maxsize=1)
+def _trunc_column(k, top, method):
+    # A sweep checks one index's fences in a row, so one entry serves it;
+    # under --jobs a chunk recomputes it only where it starts mid-index.
+    return zeta_trunc_column(k, range(top + 1), method)
+
+
+def _main_identity_report(k, upper, top, method):
     started = time.perf_counter()
     return make_report("main", {"k": format_index(k), "N": upper},
-                       zeta_trunc(k, upper, method),
+                       _trunc_column(k, top, method)[upper],
                        zeta_flat(k, upper, method), started)
 
 
@@ -300,8 +303,11 @@ def verify_tasks(args, caps):
     """The ordered instance list for one suite: (callable, kwargs) pairs."""
     suite = args.suite
     tasks = []
-    if suite in ("main", "telescope", "hoffman-identity"):
+    if suite not in ("transport", "duality-r", "log2"):
+        if args.max_weight < 1:
+            raise ValueError(f"--max-weight must be positive, got {args.max_weight}")
         caps.check_weight(Index((args.max_weight,)))
+    if suite in ("main", "telescope", "hoffman-identity"):
         caps.check_upper(args.max_upper)
         for k in indices_up_to_weight(args.max_weight):
             if not k:
@@ -309,12 +315,13 @@ def verify_tasks(args, caps):
             for n in range(1, args.max_upper + 1):
                 if suite == "main":
                     tasks.append((_main_identity_report,
-                                  {"k": k, "upper": n, "method": args.method}))
+                                  {"k": k, "upper": n, "top": args.max_upper,
+                                   "method": args.method}))
                 elif suite == "telescope":
                     tasks.append((_telescope_report, {"k": k, "upper": n}))
                 else:
                     tasks.append((hoffman_identity_check,
-                                  {"k": k, "upper": n}))
+                                  {"k": k, "upper": n, "top": args.max_upper}))
     elif suite == "transport":
         caps.check_upper(args.max_upper)
         for n in range(1, args.max_upper + 1):
@@ -333,7 +340,6 @@ def verify_tasks(args, caps):
             caps.check_weight(k)
             tasks.append((_duality_r_report, {"k": k, "lo": lo, "hi": hi}))
     elif suite in ("duality-a", "antipode"):
-        caps.check_weight(Index((args.max_weight,)))
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
         check = (hoffman_duality_check if suite == "duality-a"
@@ -344,7 +350,6 @@ def verify_tasks(args, caps):
             for p in primes_in(max(lo, 3), hi):
                 tasks.append((check, {"k": k, "p": p}))
     elif suite in ("padic", "seki"):
-        caps.check_weight(Index((args.max_weight,)))
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
         n_values = parse_exponents(args.n_values)
@@ -410,6 +415,8 @@ def cmd_verify(args):
     if args.csv and (args.suite != "duality-r" or not args.index
                      or len(args.index) != 1):
         raise ValueError("--csv needs suite duality-r with exactly one --index")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     tasks = verify_tasks(args, caps)
     if not tasks:
         raise ValueError("the grid holds no instances to check")

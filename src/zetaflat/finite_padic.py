@@ -26,7 +26,6 @@ from pathlib import Path
 from .chainsum import (
     Residue,
     endpoint_values,
-    eval_dp,
     eval_dp_mod,
     flat_chain,
     flat_support_chain,
@@ -192,22 +191,30 @@ def flat_mod_identity_check(k, p):
         "flat-mod", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
 
-def hoffman_identity_check(k, upper):
+@lru_cache(maxsize=1)
+def _weak_fronts(k, top):
+    # All factors are harmonic, so entries at v <= N are those of fence N.
+    return (endpoint_values(hoffman_weak_chain(k), top),
+            endpoint_values(hoffman_weak_chain(hoffman_dual(k)), top))
+
+
+def hoffman_identity_check(k, upper, top=None):
     """Check the binomial identity between a weak chain and its dual.
 
     The weak chain for k reaching the fence equals the weak chain for the
     Hoffman dual l with an alternating binomial attached to the final
     variable: sum over 1 <= m_1 <= ... <= m_s <= N of
     (-1)^(m_s - 1) binom(N, m_s) / (m_1^l_1 ... m_s^l_s).  Exact in Q.
+    Both sides read cached dynamic programs at fence max(N, top).
     """
     started = time.perf_counter()
     k = as_index(k)
     if upper < 1:
         raise ValueError("the fence must be at least 1")
-    lhs = eval_dp(hoffman_weak_chain(k), upper)
-    front, scale = endpoint_values(hoffman_weak_chain(hoffman_dual(k)), upper)
-    rhs = Fraction(sum((-1) ** (v - 1) * comb(upper, v) * front[v]
-                       for v in range(1, upper + 1)), scale)
+    (front, scale), (dual_front, dual_scale) = _weak_fronts(k, max(upper, top or 0))
+    lhs = Fraction(sum(front[:upper + 1]), scale)
+    rhs = Fraction(sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
+                       for v in range(1, upper + 1)), dual_scale)
     return make_report(
         "hoffman-identity", {"k": format_index(k), "N": upper},
         lhs, rhs, started)

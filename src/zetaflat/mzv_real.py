@@ -8,9 +8,8 @@ and its reflected block form zeta_flat(k, N), a sum with one variable per
 unit of weight, weak inequalities inside blocks, and a factor 1/(N - n) at
 each block opening.  The two are equal for every admissible k and every N;
 this module also carries the fully strict Riemann-sum variant (which is
-NOT equal), the weak-inequality star sum, the mixed decay sums, the exact
-duality discrepancy decomposition, and the convergence table for the
-duality defect.
+NOT equal), the weak-inequality star sum, the exact duality discrepancy
+decomposition, and the convergence table for the duality defect.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 
 from .chainsum import (
     ChainSpec,
-    decay_chain,
+    endpoint_values,
     equality_strata,
     eval_dp,
     eval_enum,
@@ -31,7 +30,7 @@ from .chainsum import (
     zeta_chain,
     zeta_star_chain,
 )
-from .index_algebra import Index, as_index, dual, format_index
+from .index_algebra import Index, as_index, dual
 from .reports import decimal_str, make_report
 
 
@@ -46,6 +45,25 @@ def _eval(spec, upper, method):
 def zeta_trunc(k, upper, method="dp") -> Fraction:
     """Strict truncated sum of depth len(k) below the fence `upper`."""
     return _eval(zeta_chain(k), upper, method)
+
+
+def zeta_trunc_column(k, uppers, method="dp") -> list:
+    """zeta_trunc(k, N) for each fence N in `uppers`, in their order.
+
+    One dynamic program at the largest fence gives every value as a
+    partial sum of its final layer.  Enumeration (and a negative fence,
+    which raises) still goes one fence at a time.
+    """
+    uppers = list(uppers)
+    if method != "dp" or min(uppers, default=-1) < 0:
+        return [zeta_trunc(k, n, method) for n in uppers]
+    front, scale = endpoint_values(zeta_chain(k), max(uppers))
+    values, run, prev = {}, 0, 0
+    for n in sorted(set(uppers)):
+        run += sum(front[prev:n])
+        prev = n
+        values[n] = Fraction(run, scale)
+    return [values[n] for n in uppers]
 
 
 def zeta_star_trunc(k, upper, method="dp") -> Fraction:
@@ -63,11 +81,6 @@ def riemann_sum(k, upper, method="dp") -> Fraction:
     differs from zeta_trunc at finite fences (the weak in-block
     inequalities carry real mass)."""
     return _eval(riemann_chain(k), upper, method)
-
-
-def decay_sum(a, b, upper, method="dp") -> Fraction:
-    """Strict chain sum with mixed factors 1/((N - n)^a_i * n^b_i)."""
-    return _eval(decay_chain(a, b), upper, method)
 
 
 @dataclass(frozen=True)
@@ -150,8 +163,8 @@ def duality_convergence(k, uppers, method="dp") -> list:
     """Table of |zeta_trunc(k, N) - zeta_trunc(dual(k), N)| over fences N."""
     k = as_index(k)
     kd = dual(k)
-    rows = []
-    for n in uppers:
-        diff = abs(zeta_trunc(k, n, method) - zeta_trunc(kd, n, method))
-        rows.append(ConvergenceRow(upper=n, diff=diff, decimal=decimal_str(diff)))
-    return rows
+    uppers = list(uppers)
+    diffs = [abs(a - b) for a, b in zip(zeta_trunc_column(k, uppers, method),
+                                        zeta_trunc_column(kd, uppers, method))]
+    return [ConvergenceRow(upper=n, diff=d, decimal=decimal_str(d))
+            for n, d in zip(uppers, diffs)]

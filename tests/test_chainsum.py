@@ -20,7 +20,6 @@ from zetaflat.chainsum import (
     Position,
     Residue,
     Weight,
-    decay_chain,
     endpoint_values,
     equality_strata,
     eval_dp,
@@ -34,6 +33,7 @@ from zetaflat.chainsum import (
     tilde_chain,
     zeta_chain,
     zeta_star_chain,
+    _denominator_row,
     _inverse_table,
     _plan,
 )
@@ -151,16 +151,6 @@ def test_compiler_shapes():
         flat_chain(())
 
 
-def test_decay_chain_validation():
-    spec = decay_chain((1, 0), (1, 1))
-    assert spec.degree == 3
-    # single position of total degree two is the smallest valid shape
-    assert eval_dp(decay_chain((1,), (2,)), 3) == Fraction(3, 4)
-    for a, b in [((0, 1), (1, 1)), ((1, 0), (1, 0)), ((1, 0), (0, 1))]:
-        with pytest.raises(ValueError):
-            decay_chain(a, b)
-
-
 def test_enum_against_itertools_oracle_known_chains():
     for k in indices_up_to_weight(4):
         if not k:
@@ -238,6 +228,37 @@ def test_endpoint_values_against_oracle():
         for v in range(upper + 1):
             assert Fraction(front[v], scale) == oracle_sum(spec, upper, v), (spec, v)
         done += 1
+
+
+def test_plan_rows_are_cached_denominators():
+    rng = random.Random(6061)
+    seen = {"weak relation": 0, "reflected weight": 0, "weak terminal": 0}
+    done = 0
+    while done < 150:
+        spec = random_spec(rng)
+        upper = rng.randint(0, 12)
+        if not spec_is_safe(spec, upper):
+            # the zero denominator is found before any row is built
+            _denominator_row.cache_clear()
+            with pytest.raises(ValueError, match="zero denominator"):
+                _plan(spec, upper)
+            assert _denominator_row.cache_info().currsize == 0
+            continue
+        plan = _plan(spec, upper)
+        if plan is None:
+            continue
+        rows, _, lbs, ubs = plan
+        for pos, row, lo, hi in zip(spec.positions, rows, lbs, ubs):
+            assert isinstance(row, tuple) and len(row) == upper + 1
+            for n in range(lo, hi + 1):
+                assert row[n] == pos.weight.denominator_at(n, upper), (spec, n)
+        # a second plan reads the very same rows
+        assert all(a is b for a, b in zip(rows, _plan(spec, upper)[0]))
+        seen["weak relation"] += any(not p.strict_before for p in spec.positions)
+        seen["reflected weight"] += any(p.weight.refl for p in spec.positions)
+        seen["weak terminal"] += not spec.terminal_strict
+        done += 1
+    assert all(seen.values()), seen
 
 
 def test_reflect_chain_preserves_values():

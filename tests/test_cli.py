@@ -188,10 +188,15 @@ def test_verify_csv_needs_single_index(capsys):
 
 
 def test_verify_jobs_matches_sequential(capsys):
-    # The second grid (465 tasks) ships its tasks in chunks of 29.
+    # Chunks (29 of the 465 main tasks, 8 of the 135 of the later grids)
+    # start inside an index, so a worker rebuilds its cached fence column.
     for argv, jobs in [
             (["verify", "telescope", "--max-weight", "3", "--max-upper", "4"], "3"),
-            (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "2")]:
+            (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "2"),
+            (["verify", "main", "--max-weight", "4", "--max-upper", "9",
+              "--method", "enum"], "2"),
+            (["verify", "hoffman-identity", "--max-weight", "4",
+              "--max-upper", "9"], "2")]:
         _, seq, _ = run_cli(argv, capsys)
         _, par, _ = run_cli(argv + ["--jobs", jobs], capsys)
         assert seq == par
@@ -225,6 +230,19 @@ def test_verify_rejects_nonpositive_exponent(capsys):
                                       "--n-values", n], capsys)
             assert code == 2 and err.startswith("error: "), (suite, n)
             assert "PASS" not in out + err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-weight", "0"), ("--max-weight", "-1"),
+    ("--jobs", "0"), ("--jobs", "-1"),
+])
+def test_verify_nonpositive_counts_name_the_flag(flag, value, capsys):
+    for suite in ("main", "padic", "duality-a"):
+        code, out, err = run_cli(["verify", suite, "--max-upper", "3",
+                                  f"{flag}={value}"], capsys)
+        assert code == 2 and out == "", (suite, flag, value)
+        assert err == f"error: {flag} must be positive, got {value}\n", \
+            (suite, flag, value)
 
 
 @pytest.mark.parametrize("text", ["1,,2", "abc", "2,x"])

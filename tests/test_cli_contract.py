@@ -174,6 +174,8 @@ def run_in_process(argv):
 @example(["verify", "seki", "--max-weight=2", "--n-values=1,,2"])
 @example(["verify", "antipode", "--max-weight=2", "--primes=3..2"])
 @example(["verify", "main", "--max-upper=0"])
+@example(["verify", "main", "--max-weight=2", "--max-upper=3", "--jobs=0"])
+@example(["verify", "hoffman-identity", "--max-weight=2", "--jobs=-1"])
 def test_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -201,10 +201,14 @@ def test_hoffman_identity_against_enumeration():
             continue
         l = tuple(hoffman_dual(k))
         for n in range(1, 9):
-            r = hoffman_identity_check(k, n)
-            assert r.lhs == fraction_str(weak_sum(k, n, lambda m: 1)), (k, n)
-            want = weak_sum(l, n, lambda m: (-1) ** (m - 1) * comb(n, m))
-            assert r.rhs == fraction_str(want), (k, n)
+            lhs = fraction_str(weak_sum(k, n, lambda m: 1))
+            rhs = fraction_str(
+                weak_sum(l, n, lambda m: (-1) ** (m - 1) * comb(n, m)))
+            # both sides read at the fence itself and from the dynamic
+            # programs at a larger one, as a sweep does
+            for top in (None, 8, 11):
+                r = hoffman_identity_check(k, n, top)
+                assert (r.lhs, r.rhs) == (lhs, rhs), (k, n, top)
 
 
 def test_lifted_checks_reduce_to_mod_p():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaflat import mzv_real
 from zetaflat.chainsum import (
     ChainSpec,
     Position,
@@ -22,7 +23,6 @@ from zetaflat.index_algebra import coarsenings, dual, indices_up_to_weight
 from zetaflat.reports import decimal_str
 from zetaflat.mzv_real import (
     ConvergenceRow,
-    decay_sum,
     discrepancy,
     duality_convergence,
     log2_discretization_check,
@@ -30,6 +30,7 @@ from zetaflat.mzv_real import (
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
+    zeta_trunc_column,
 )
 
 # |zeta_trunc(k, 4096) - zeta_trunc(dual(k), 4096)|, doubled and rounded up
@@ -57,7 +58,6 @@ def test_known_values():
     assert zeta_flat((1,), 2) == 1
     assert riemann_sum((2,), 3) == Fraction(1, 4)
     assert riemann_sum((2,), 2) == 0
-    assert decay_sum((1,), (2,), 3) == Fraction(3, 4)
 
 
 def test_methods_agree():
@@ -168,15 +168,6 @@ def test_discrepancy_enum_method():
     assert br.lhs == 0  # self-dual
 
 
-def test_decay_sum_monotone_tail():
-    vals = [decay_sum((1,), (2,), 2 ** j) for j in range(4, 13)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_decay_sum_empty_range():
-    assert decay_sum((1, 0), (1, 1), 2) == 0
-
-
 def test_log2_known_values():
     r = log2_discretization_check(1)
     assert r.passed and r.lhs == "1/1"
@@ -193,3 +184,37 @@ def test_convergence_row_rendering():
     # decimal string is presentation only; exact value drives the tests
     assert rows[0].decimal == decimal_str(rows[0].diff)
     assert rows[0].decimal.startswith("0.")
+
+
+@pytest.mark.parametrize("method", ["dp", "enum"])
+def test_trunc_column_equals_per_fence(method, monkeypatch):
+    """One dynamic program per index serves every fence; enumeration
+    stays one fence at a time and never touches it."""
+    calls = []
+    real = mzv_real.endpoint_values
+    monkeypatch.setattr(mzv_real, "endpoint_values",
+                        lambda *args: calls.append(args) or real(*args))
+    fences = list(range(26))
+    for k in indices_up_to_weight(5):
+        if not k:
+            continue
+        want = [zeta_trunc(k, n) for n in fences]
+        calls.clear()
+        column = zeta_trunc_column(k, fences, method)
+        assert column == want, k
+        # no tuple fits below a fence at or under the depth
+        assert not any(column[:k.depth + 1]), k
+        assert len(calls) == (1 if method == "dp" else 0), k
+    assert zeta_trunc_column((1, 2), [], method) == []
+    with pytest.raises(ValueError):
+        zeta_trunc_column((1, 2), [5, -1], method)
+
+
+def test_duality_convergence_unsorted_fences_with_duplicate():
+    for k in [(3,), (1, 2), (2, 2), (1, 1, 2)]:
+        fences = [8, 3, 8, 1, 5]
+        rows = duality_convergence(k, fences)
+        assert [r.upper for r in rows] == fences
+        for r in rows:
+            want = abs(zeta_trunc(k, r.upper) - zeta_trunc(dual(k), r.upper))
+            assert r.diff == want and r.decimal == decimal_str(want), (k, r)
