@@ -1,12 +1,19 @@
-"""The evaluation kernels: enumeration, prefix-sum DP and residue DP.
+"""The evaluation kernels: enumeration, prefix-sum DP, residue DP and a
+product tree for strict harmonic chains.
 
-A kernel works on a pre-validated plan: per-position rows indexed by n,
-strictness flags for the relation entering each position, and the
+The first three work on a pre-validated plan: per-position rows indexed
+by n, strictness flags for the relation entering each position, and the
 feasible band [lbs[i], ubs[i]], the only part of a row a kernel reads.
 For the exact kernels a row holds the denominators `dens[i][n]`, and
 values are carried as integers scaled by a common denominator; the scale
 is a multiple of every denominator product, so every division below is
 exact.  For the residue kernel a row holds the inverse denominators.
+
+The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
+chain (what `zeta_chain` compiles to) and sorted fences.  It carries the
+exact value at each fence as an integer row over a product of step
+denominators, and its one division, by that product, is exact for the
+same reason: the scale it is given times the chain sum is an integer.
 """
 
 from itertools import accumulate
@@ -88,3 +95,54 @@ def dp_sum_mod(rows, stricts, lbs, ubs, modulus):
                           for run, inv in zip(runs[start:], row[lo:hi + 1])]
         front = nxt
     return sum(front) % modulus
+
+
+LEAF_STEPS = 16
+
+
+def harmonic_tree(exps, fences, scales):
+    """Strict harmonic chain sums at ascending fences by binary splitting.
+
+    Step m maps the row vector v (v[j]: the sum over n_1 < ... < n_j < m)
+    to v (I + sum_i e_{i,i+1} / m^exps[i]), so e_0 times the product of
+    steps 1 .. N - 1 ends in the chain sum below the fence N.  With
+    t = max(exps) a step is the integer matrix m^t I + sum_i m^(t -
+    exps[i]) e_{i,i+1} over the denominator m^t.  The steps of each gap
+    between consecutive fences multiply in a balanced tree, with leaves
+    of LEAF_STEPS steps stepped directly, and the row carries across the
+    gaps.  Fences must not decrease; a repeated fence takes no steps.
+    Every diagonal entry of a product is the product of its step
+    denominators, so row[0] is the row's denominator, and at fences[j]
+    the result is row[r] * scales[j] // row[0]: exact whenever scales[j]
+    times the sum is an integer, as it is for lcm(1..N)^weight.
+    """
+    r, t = len(exps), max(exps)
+
+    def leaf(a, b):
+        mat = [[int(i == j) for j in range(r + 1)] for i in range(r + 1)]
+        for m in range(a, b):
+            d = m ** t
+            lift = [m ** (t - e) for e in exps]
+            for i, row in enumerate(mat):
+                for j in range(r, i, -1):
+                    row[j] = row[j] * d + row[j - 1] * lift[j - 1]
+                row[i] *= d
+        return mat
+
+    def product(a, b):
+        if b - a <= LEAF_STEPS:
+            return leaf(a, b)
+        mid = (a + b) // 2
+        p, q = product(a, mid), product(mid, b)
+        return [[sum(p[i][l] * q[l][j] for l in range(i, j + 1))
+                 for j in range(r + 1)] for i in range(r + 1)]
+
+    row, prev, out = [1] + [0] * r, 1, []
+    for n, scale in zip(fences, scales):
+        if n > prev:
+            mat = product(prev, n)
+            row = [sum(row[l] * mat[l][j] for l in range(j + 1))
+                   for j in range(r + 1)]
+            prev = n
+        out.append(row[r] * scale // row[0])
+    return out

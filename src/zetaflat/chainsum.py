@@ -220,7 +220,7 @@ def equality_strata(spec: ChainSpec):
 
 
 @lru_cache(maxsize=64)
-def _lcm_upto(n):
+def lcm_upto(n):
     return math.lcm(*range(1, n + 1)) if n >= 1 else 1
 
 
@@ -340,7 +340,7 @@ def eval_enum(spec: ChainSpec, upper) -> Fraction:
     plan = _plan(spec, upper)
     if plan is None:
         return Fraction(0)
-    scale = _lcm_upto(upper) ** spec.degree
+    scale = lcm_upto(upper) ** spec.degree
     return Fraction(enum_sum(*plan, scale), scale)
 
 
@@ -353,7 +353,7 @@ def endpoint_values(spec: ChainSpec, upper):
     plan = _plan(spec, upper)
     if plan is None:
         return [0] * (upper + 1), 1
-    lcm = _lcm_upto(upper)
+    lcm = lcm_upto(upper)
     lams = [lcm ** p.weight.degree for p in spec.positions]
     return dp_sum(*plan, lams), lcm ** spec.degree
 

@@ -36,9 +36,15 @@ from .index_algebra import Index, as_index, format_index
 from .reports import fraction_str, make_report
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def connector(upper, n, m) -> Fraction:
-    """binom(m, n) / binom(N, n) for 0 <= n <= m <= N."""
+    """binom(m, n) / binom(N, n) for 0 <= n <= m <= N.
+
+    A transport sweep reads one fence at a time, and 8192 entries hold
+    every pair (n, m) of a fence up to N = 126, so the bound costs no
+    hits there while keeping the cache from growing by N^2 / 2 entries
+    per fence.
+    """
     if not 0 <= n <= m <= upper:
         raise ValueError(f"need 0 <= n <= m <= N, got n={n}, m={m}, N={upper}")
     return Fraction(comb(m, n), comb(upper, n))

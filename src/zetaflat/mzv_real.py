@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernels import harmonic_tree
 from .chainsum import (
     ChainSpec,
     endpoint_values,
@@ -25,6 +26,7 @@ from .chainsum import (
     eval_dp,
     eval_enum,
     flat_chain,
+    lcm_upto,
     reflect_chain,
     riemann_chain,
     zeta_chain,
@@ -47,23 +49,46 @@ def zeta_trunc(k, upper, method="dp") -> Fraction:
     return _eval(zeta_chain(k), upper, method)
 
 
+# A column with a gap of at least this many steps between its fences goes
+# to the product tree.  On one fence (Python 3.11, 2-core x86 VM; table in
+# BENCH_big_fence.json) the tree overtakes the endpoint DP between
+# N = 512 and 1024 at depths 2-8 and wins 6-15x at N = 4096.
+TREE_GAP = 1024
+
+
 def zeta_trunc_column(k, uppers, method="dp") -> list:
     """zeta_trunc(k, N) for each fence N in `uppers`, in their order.
 
-    One dynamic program at the largest fence gives every value as a
-    partial sum of its final layer.  Enumeration (and a negative fence,
-    which raises) still goes one fence at a time.
+    A sparse column (a gap of TREE_GAP or more between consecutive
+    fences, counted from 0) multiplies the steps of each gap in a product
+    tree (`harmonic_tree`), so its work grows with the fences asked for,
+    not with every n below the top one.  Any other column reads every
+    value as a partial sum of the final layer of one dynamic program at
+    the top fence: for a dense column that is one cheap step per fence,
+    where the tree would pay a row update and a division over a
+    denominator near ((N-1)!)^max(k) at each fence (3.6-8x slower on
+    0..1200).  Both paths give each value exactly, as an integer over
+    lcm(1..N)^weight.  Enumeration (and a negative fence, which raises)
+    still goes one fence at a time.
     """
     uppers = list(uppers)
     if method != "dp" or min(uppers, default=-1) < 0:
         return [zeta_trunc(k, n, method) for n in uppers]
-    front, scale = endpoint_values(zeta_chain(k), max(uppers))
-    values, run, prev = {}, 0, 0
-    for n in sorted(set(uppers)):
-        run += sum(front[prev:n])
-        prev = n
-        values[n] = Fraction(run, scale)
-    return [values[n] for n in uppers]
+    spec = zeta_chain(k)
+    fences = sorted(set(uppers))
+    if max(b - a for a, b in zip([0] + fences, fences)) >= TREE_GAP:
+        scales = [lcm_upto(n) ** spec.degree for n in fences]
+        exps = [p.weight.harm for p in spec.positions]
+        values = map(Fraction, harmonic_tree(exps, fences, scales), scales)
+    else:
+        front, scale = endpoint_values(spec, fences[-1])
+        values, run, prev = [], 0, 0
+        for n in fences:
+            run += sum(front[prev:n])
+            prev = n
+            values.append(Fraction(run, scale))
+    table = dict(zip(fences, values))
+    return [table[n] for n in uppers]
 
 
 def zeta_star_trunc(k, upper, method="dp") -> Fraction:

@@ -9,7 +9,8 @@ import zetaflat
 from zetaflat import cli
 from zetaflat.cli import entry, parse_exponents, parse_range, parse_side
 from zetaflat.index_algebra import Index, indices_up_to_weight
-from zetaflat.mzv_real import log2_discretization_check
+from zetaflat.mzv_real import log2_discretization_check, zeta_trunc
+from zetaflat.reports import decimal_str
 
 
 # `python -m zetaflat.cli` in a child process imports the tree under test.
@@ -174,6 +175,22 @@ def test_verify_duality_r_csv(capsys):
         assert dec.startswith("0.")
     assert fences == [16, 32, 64]
     assert err.strip() == "PASS 1/1"
+
+
+def test_verify_duality_r_csv_equals_per_fence_sums(capsys):
+    """Fences 1..2^11 cross the product-tree cutoff; every row matches a
+    difference of two per-fence truncated sums.  The defect is 0 at N = 1
+    and 1 at N = 2, so the table is not decreasing and the check fails."""
+    code, out, err = run_cli(["verify", "duality-r", "--index", "1,1,2",
+                              "--powers", "0..11", "--csv"], capsys)
+    assert code == 1 and err.strip() == "FAIL 0/1"
+    want = ["N,diff_num,diff_den,diff_decimal"]
+    for j in range(12):
+        n = 2 ** j
+        diff = abs(zeta_trunc((1, 1, 2), n) - zeta_trunc((4,), n))
+        want.append(f"{n},{diff.numerator},{diff.denominator},"
+                    f"{decimal_str(diff)}")
+    assert out.splitlines() == want
 
 
 def test_verify_csv_needs_single_index(capsys):

@@ -176,6 +176,10 @@ def run_in_process(argv):
 @example(["verify", "main", "--max-upper=0"])
 @example(["verify", "main", "--max-weight=2", "--max-upper=3", "--jobs=0"])
 @example(["verify", "hoffman-identity", "--max-weight=2", "--jobs=-1"])
+# duality-r fences on both sides of the product-tree cutoff
+@example(["verify", "duality-r", "--powers=0..0"])
+@example(["verify", "duality-r", "--index=1,1,2", "--powers=9..12", "--json"])
+@example(["verify", "duality-r", "--index=3", "--powers=1..11", "--csv"])
 def test_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -86,6 +86,22 @@ def test_connector_known_values():
                 assert 0 < v <= 1
 
 
+def test_connector_cache_is_bounded_and_holds_one_fence():
+    """A transport sweep reads one fence at a time: every pair of a fence
+    up to N = 126 stays cached, while fences before it drop out."""
+    connector.cache_clear()
+    for upper in (125, 126):
+        pairs = [(n, m) for m in range(upper + 1) for n in range(m + 1)]
+        for _ in range(2):
+            for n, m in pairs:
+                connector(upper, n, m)
+    info = connector.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
+    # the second pass over each fence is all hits
+    assert info.misses == 126 * 127 // 2 + 127 * 128 // 2
+    connector.cache_clear()
+
+
 def test_connector_argument_order():
     with pytest.raises(ValueError):
         connector(5, 3, 2)

@@ -11,17 +11,24 @@ from fractions import Fraction
 
 import pytest
 
-from zetaflat import mzv_real
+from zetaflat import _kernels, mzv_real
+from zetaflat._kernels import harmonic_tree
 from zetaflat.chainsum import (
     ChainSpec,
     Position,
     REFLECTED,
     Weight,
+    endpoint_values,
     eval_dp,
+    eval_enum,
+    lcm_upto,
+    zeta_chain,
 )
+from zetaflat.cli import CONVERGENCE_INDICES
 from zetaflat.index_algebra import coarsenings, dual, indices_up_to_weight
 from zetaflat.reports import decimal_str
 from zetaflat.mzv_real import (
+    TREE_GAP,
     ConvergenceRow,
     discrepancy,
     duality_convergence,
@@ -211,10 +218,90 @@ def test_trunc_column_equals_per_fence(method, monkeypatch):
 
 
 def test_duality_convergence_unsorted_fences_with_duplicate():
-    for k in [(3,), (1, 2), (2, 2), (1, 1, 2)]:
-        fences = [8, 3, 8, 1, 5]
-        rows = duality_convergence(k, fences)
-        assert [r.upper for r in rows] == fences
-        for r in rows:
-            want = abs(zeta_trunc(k, r.upper) - zeta_trunc(dual(k), r.upper))
-            assert r.diff == want and r.decimal == decimal_str(want), (k, r)
+    # the second list leaves a gap for the product tree
+    for fences in ([8, 3, 8, 1, 5], [TREE_GAP + 8, 3, 0, TREE_GAP + 8, 1]):
+        for k in [(3,), (1, 2), (2, 2), (1, 1, 2)]:
+            rows = duality_convergence(k, fences)
+            assert [r.upper for r in rows] == fences
+            for r in rows:
+                want = abs(zeta_trunc(k, r.upper)
+                           - zeta_trunc(dual(k), r.upper))
+                assert r.diff == want and r.decimal == decimal_str(want), \
+                    (k, r)
+
+
+def tree_values(k, fences):
+    """The product-tree kernel's output for zeta_chain(k): the sum below
+    each fence N times lcm(1..N)^weight."""
+    weight = sum(k)
+    return harmonic_tree(list(k), fences,
+                         [lcm_upto(n) ** weight for n in fences])
+
+
+@pytest.mark.parametrize("leaf", [1, 3, _kernels.LEAF_STEPS])
+def test_harmonic_tree_equals_enumeration(leaf, monkeypatch):
+    # with short leaves, the gaps of the sparse list run through inner
+    # nodes of the tree
+    monkeypatch.setattr(_kernels, "LEAF_STEPS", leaf)
+    for fences in (list(range(13)), [0, 1, 5, 12]):
+        for k in indices_up_to_weight(5):
+            if not k:
+                continue
+            for n, got in zip(fences, tree_values(k, fences)):
+                want = eval_enum(zeta_chain(k), n) * lcm_upto(n) ** k.weight
+                assert got == want, (k, n)
+
+
+def test_harmonic_tree_equals_endpoint_partial_sums():
+    """Sparse fences on both sides of the cutoff: long gaps run through
+    many tree levels, short ones stay inside one leaf."""
+    fences = [2, 3, 17, 100, 700, TREE_GAP - 1, TREE_GAP, TREE_GAP + 1,
+              1500, 2 ** 11]
+    for k in CONVERGENCE_INDICES:
+        for side in (k, tuple(dual(k))):
+            front, scale = endpoint_values(zeta_chain(side), fences[-1])
+            got = tree_values(side, fences)
+            for n, value in zip(fences, got):
+                want = Fraction(sum(front[:n]), scale)
+                assert Fraction(value, lcm_upto(n) ** sum(side)) == want, \
+                    (side, n)
+
+
+def test_harmonic_tree_edge_fences():
+    """Repeated fences, fences 0 and 1, and fences at or below the depth,
+    where no tuple fits and the value is 0."""
+    fences = [0, 0, 1, 1, 2, 3, 3, 4, 5, 6, 6, 40, 40]
+    for k in [(1,), (2,), (2, 1), (1, 1, 2), (1, 3, 1, 1), (1,) * 5]:
+        got = tree_values(k, fences)
+        assert got == [zeta_trunc(k, n, "enum") * lcm_upto(n) ** sum(k)
+                       for n in fences], k
+        assert not any(v for n, v in zip(fences, got) if n <= len(k)), k
+        assert all(v for n, v in zip(fences, got) if n > len(k)), k
+
+
+@pytest.mark.parametrize("fences, tree", [
+    ([TREE_GAP - 1], False),
+    ([TREE_GAP], True),
+    (list(range(TREE_GAP + 1)), False),
+    ([5, 5 + TREE_GAP], True),
+    ([2 * TREE_GAP, 3, 0, 1, 2 * TREE_GAP, 1, 2], True),
+])
+def test_trunc_column_dispatch_by_largest_gap(fences, tree, monkeypatch):
+    """A gap of TREE_GAP or more between sorted fences (from 0) sends the
+    column to the product tree, and a dense column, whatever its top,
+    stays on the DP; either way the values, in the order and multiplicity
+    asked for, equal zeta_trunc at each fence."""
+    calls = []
+    for name in ("endpoint_values", "harmonic_tree"):
+        real = getattr(mzv_real, name)
+        monkeypatch.setattr(mzv_real, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for k in [(1, 2), (1, 1, 2), (3,)]:
+        calls.clear()
+        column = zeta_trunc_column(k, fences)
+        assert calls == ["harmonic_tree" if tree else "endpoint_values"], k
+        assert len(column) == len(fences)
+        # every fence of the sparse columns, eight of the dense one
+        step = max(1, len(fences) // 8)
+        for n, value in list(zip(fences, column))[::step]:
+            assert value == zeta_trunc(k, n), (k, n)
