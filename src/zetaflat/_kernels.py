@@ -8,6 +8,10 @@ For the exact kernels a row holds the denominators `dens[i][n]`, and
 values are carried as integers scaled by a common denominator; the scale
 is a multiple of every denominator product, so every division below is
 exact.  For the residue kernel a row holds the inverse denominators.
+Both dynamic programs return their final layer, the value at each
+endpoint; the residue one also starts from a given layer, so a strict
+harmonic chain can be extended one position at a time
+(`finite_padic` walks a trie of index prefixes that way).
 
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
 chain (what `zeta_chain` compiles to) and sorted fences.  It carries the
@@ -75,18 +79,20 @@ def dp_sum(dens, stricts, lbs, ubs, lams):
     return front
 
 
-def dp_sum_mod(rows, stricts, lbs, ubs, modulus):
+def dp_sum_mod(rows, stricts, lbs, ubs, modulus, front):
     """The dynamic program in Z/modulus, multiplying by inverse denominators.
 
     `rows[i][n]` is the inverse mod `modulus` of the denominator of
     position i at n; the planner has already checked that every point of
-    the feasible band has one, so nothing is inverted here.  Layer i is
-    the prefix sums of layer i - 1 (through n - 1 for a strict relation,
-    through n for a weak one) times the row entries on the band.
+    the feasible band has one, so nothing is inverted here.  `front` is
+    the layer the program starts from: [1, 0, 0, ...] for a whole chain,
+    or the final layer of a prefix to extend it by the planned positions.
+    Layer i is the prefix sums of layer i - 1 (through n - 1 for a strict
+    relation, through n for a weak one) times the row entries on the
+    band.  Returns the final layer, reduced, with zeros off the last band;
+    its sum is the chain sum.
     """
     size = len(rows[0])
-    front = [0] * size
-    front[0] = 1
     for row, strict, lo, hi in zip(rows, stricts, lbs, ubs):
         runs = list(accumulate(front[:hi + 1]))
         start = lo - 1 if strict else lo
@@ -94,7 +100,7 @@ def dp_sum_mod(rows, stricts, lbs, ubs, modulus):
         nxt[lo:hi + 1] = [run * inv % modulus
                           for run, inv in zip(runs[start:], row[lo:hi + 1])]
         front = nxt
-    return sum(front) % modulus
+    return front
 
 
 LEAF_STEPS = 16

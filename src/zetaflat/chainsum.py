@@ -323,9 +323,8 @@ def _residue_row(refl, harm, upper, modulus):
     """1/((upper - n)^refl * n^harm) mod modulus for 0 <= n <= upper.
 
     An entry is 0 exactly where the denominator is not a unit: a factor
-    with a positive exponent has no inverse there.  A check at one fence
-    and modulus reads a few weights, so a small cache serves it; a sweep
-    moves to the next prime after each check.
+    with a positive exponent has no inverse there.  A residue walk at one
+    fence and modulus plans each weight once, so a small cache serves it.
     """
     inv = _inverse_table(upper, modulus)
     row = inv if harm == 1 else [pow(x, harm, modulus) for x in inv]
@@ -379,7 +378,8 @@ def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:
     plan = _plan(spec, upper, modulus)
     if plan is None:
         return Residue(0, modulus)
-    return Residue(dp_sum_mod(*plan, modulus), modulus)
+    start = [1] + [0] * upper
+    return Residue(sum(dp_sum_mod(*plan, modulus, start)), modulus)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .finite_padic import (
 )
 from .index_algebra import (
     Index,
+    dual,
     format_index,
     indices_up_to_weight,
     parse_index,
@@ -255,13 +256,18 @@ def _duality_r_report(k, lo, hi):
 def _convergence_report(k, lo, hi, rows, started):
     diffs = [r.diff for r in rows]
     decs = [r.decimal for r in rows]
+    # At a fence N <= depth one truncated sum is still empty, so the
+    # defect rises from 0 there: those rows are reported, not ranked.
+    depth = max(k.depth, dual(k).depth)
+    empty = sum(r.upper <= depth for r in rows)
+    held = diffs[empty:]
     if all(d == 0 for d in diffs):
         passed = True
         want = decs
     else:
-        passed = all(b < a for a, b in zip(diffs, diffs[1:]))
-        ordered = sorted(set(diffs), reverse=True)
-        want = [decimal_str(d) for d in ordered]
+        passed = all(b < a for a, b in zip(held, held[1:]))
+        ordered = sorted(set(held), reverse=True)
+        want = decs[:empty] + [decimal_str(d) for d in ordered]
     lhs = "; ".join(decs)
     rhs = "; ".join(want)
     return VerificationReport(
@@ -348,7 +354,8 @@ def verify_tasks(args, caps):
             if not k:
                 continue
             for p in primes_in(max(lo, 3), hi):
-                tasks.append((check, {"k": k, "p": p}))
+                tasks.append((check, {"k": k, "p": p,
+                                      "top_weight": args.max_weight}))
     elif suite in ("padic", "seki"):
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
@@ -377,7 +384,8 @@ def verify_tasks(args, caps):
                         continue
                     floor = max(lo, pinned)
                 for p in primes_in(floor, hi):
-                    tasks.append((check, {"k": k, "p": p, "n": n}))
+                    tasks.append((check, {"k": k, "p": p, "n": n,
+                                          "top_weight": args.max_weight}))
     elif suite == "log2":
         caps.check_upper(args.max_upper)
         for n in range(1, args.max_upper + 1):

@@ -11,6 +11,17 @@ primes.  For those, the sweep-then-pin protocol applies: a one-off sweep
 records the smallest prime P0 from which the check passes through the top
 of the range, and the pinned thresholds live in a committed fixtures file
 (see `load_thresholds`).  Thresholds are measured, never guessed.
+
+Every strict residue comes from a table per (prime, exponent) pair,
+{index: zeta_trunc(index, p) mod p^n}, filled by one depth-first walk
+over a trie of index prefixes (`_walk`).  A strict harmonic chain grows
+one position at a time: the layer of the child k + (e,) is the layer of
+k, prefix-summed through v - 1 and multiplied by 1/v^e mod p^n on the
+band [1, p - 1], and a node's residue is the sum of its layer.  Points
+no tuple reaches stay 0, and so does every layer of a chain deeper than
+p - 1.  A check first reserves the weight it reads up to, so the pair's
+table covers every index of that weight at once; the CLI passes the
+sweep's largest weight, so a sweep walks each pair's trie once.
 """
 
 from __future__ import annotations
@@ -23,8 +34,10 @@ from functools import lru_cache
 from math import comb
 from pathlib import Path
 
+from ._kernels import dp_sum_mod
 from .chainsum import (
     Residue,
+    _plan,
     endpoint_values,
     eval_dp_mod,
     flat_chain,
@@ -38,6 +51,7 @@ from .index_algebra import (
     coarsenings,
     format_index,
     hoffman_dual,
+    indices_up_to_weight,
     oplus,
     oslash,
     parse_index,
@@ -120,9 +134,82 @@ class PrimeLocalValue:
         return str(self.residue)
 
 
-@lru_cache(maxsize=None)
+def _walk(p, n, nodes):
+    """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`.
+
+    `nodes` are tuples closed under taking prefixes and sorted, which is
+    the pre-order of a depth-first walk over their trie, so the layer of
+    a node's parent is the last one kept at the parent's depth.  Each
+    exponent is planned once, as the one-position chain zeta_chain((e,))
+    at fence p: its row of 1/v^e, its band [1, p - 1] and its unit check.
+    """
+    mod = p ** n
+    plans = {}
+    layers = [[1] + [0] * p]
+    values = {}
+    for m in nodes:
+        e = m[-1]
+        if e not in plans:
+            plans[e] = _plan(zeta_chain((e,)), p, mod)
+        del layers[len(m):]
+        layers.append(dp_sum_mod(*plans[e], mod, layers[-1]))
+        values[m] = sum(layers[-1]) % mod
+    return values
+
+
+@lru_cache(maxsize=4)
+def _trie(weight):
+    """Every index of weight <= `weight`, as tuples in lexicographic order."""
+    return tuple(sorted(map(tuple, indices_up_to_weight(weight))))
+
+
+class _Table:
+    """One pair's residues: every index of weight <= `weight`, plus the
+    branches of single lookups beyond it."""
+
+    __slots__ = ("weight", "values")
+
+    def __init__(self):
+        self.weight = 0
+        self.values = {}
+
+
+@lru_cache(maxsize=256)
+def _table(p, n):
+    # The cache holds the table of every pair a sweep under the default
+    # caps can reach (46 primes, exponents up to 3).
+    return _Table()
+
+
+def _reserve(p, n, weight):
+    """Walk the pair's whole trie up to `weight`, unless it is covered."""
+    table = _table(p, n)
+    if table.weight < weight:
+        table.values.update(_walk(p, n, _trie(weight)))
+        table.weight = weight
+
+
+def _reach(k, n, top_weight):
+    # The lifted checks read indices up to n - 1 past the weight of k.
+    return max(k.weight, top_weight or 0) + n - 1
+
+
+@lru_cache(maxsize=1 << 14)
 def _zeta_residue(k, p, n):
-    return eval_dp_mod(zeta_chain(k), p, p ** n)
+    """zeta_trunc(k, p) mod p^n as an int, read from the pair's table.
+
+    An index beyond the reserved weight walks its own branch of the trie.
+    """
+    if not k:
+        raise ValueError("need a nonempty index")
+    values = _table(p, n).values
+    if k not in values:
+        values.update(_walk(p, n, [k[:d] for d in range(1, len(k) + 1)]))
+    return values[k]
+
+
+def _star_residue(k, p, n):
+    return sum(_zeta_residue(tuple(l), p, n) for l in coarsenings(k))
 
 
 def zeta_mod(k, p, n=1) -> PrimeLocalValue:
@@ -133,43 +220,46 @@ def zeta_mod(k, p, n=1) -> PrimeLocalValue:
     """
     k = as_index(k)
     _check_prime_exponent(p, n)
-    return PrimeLocalValue(p, n, _zeta_residue(tuple(k), p, n))
+    return PrimeLocalValue(p, n, Residue(_zeta_residue(tuple(k), p, n), p ** n))
 
 
 def zeta_star_mod(k, p, n=1) -> PrimeLocalValue:
     """The weak-inequality variant mod p^n, as a sum over coarsenings."""
     k = as_index(k)
     _check_prime_exponent(p, n)
-    total = Residue(0, p ** n)
-    for l in coarsenings(k):
-        total = total + _zeta_residue(tuple(l), p, n)
-    return PrimeLocalValue(p, n, total)
+    return PrimeLocalValue(p, n, Residue(_star_residue(k, p, n), p ** n))
 
 
-def hoffman_duality_check(k, p):
-    """Check that the weak sum at k and at its Hoffman dual cancel mod p."""
-    started = time.perf_counter()
-    k = as_index(k)
-    lhs = zeta_star_mod(k, p).residue
-    rhs = -zeta_star_mod(hoffman_dual(k), p).residue
-    return make_report(
-        "hoffman-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
+def hoffman_duality_check(k, p, top_weight=None):
+    """Check that the weak sum at k and at its Hoffman dual cancel mod p.
 
-
-def antipode_duality_check(k, p):
-    """Check the refinement-sum reflection of the strict sum mod p.
-
-    The strict sum at k equals (-1)^depth times the sum of the strict
-    sums over all refinements of k.
+    `top_weight`, the largest weight of a sweep, lets the first check at
+    p fill the table every later one reads.
     """
     started = time.perf_counter()
     k = as_index(k)
     _check_prime_exponent(p, 1)
-    lhs = _zeta_residue(tuple(k), p, 1)
-    total = Residue(0, p)
-    for l in refinements(k):
-        total = total + _zeta_residue(tuple(l), p, 1)
-    rhs = -total if k.depth % 2 else total
+    _reserve(p, 1, _reach(k, 1, top_weight))
+    lhs = Residue(_star_residue(k, p, 1), p)
+    rhs = Residue(-_star_residue(hoffman_dual(k), p, 1), p)
+    return make_report(
+        "hoffman-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
+
+
+def antipode_duality_check(k, p, top_weight=None):
+    """Check the refinement-sum reflection of the strict sum mod p.
+
+    The strict sum at k equals (-1)^depth times the sum of the strict
+    sums over all refinements of k.  `top_weight` as for
+    `hoffman_duality_check`.
+    """
+    started = time.perf_counter()
+    k = as_index(k)
+    _check_prime_exponent(p, 1)
+    _reserve(p, 1, _reach(k, 1, top_weight))
+    lhs = Residue(_zeta_residue(tuple(k), p, 1), p)
+    total = sum(_zeta_residue(tuple(l), p, 1) for l in refinements(k))
+    rhs = Residue(-total if k.depth % 2 else total, p)
     return make_report(
         "antipode-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
@@ -220,56 +310,60 @@ def hoffman_identity_check(k, upper, top=None):
         lhs, rhs, started)
 
 
-def padic_duality_check(k, p, n=1):
+@lru_cache(maxsize=16)
+def _lattice(k, n):
+    """(i, m) for every index m that the lifted reflection of k mod p^n
+    weighs by p^i; the same for every prime."""
+    return tuple((i, tuple(m)) for i in range(n)
+                 for shift in shift_vectors(k.depth, i)
+                 for m in squeeze_lattice(oplus(shift, k), oslash(shift, k)))
+
+
+def padic_duality_check(k, p, n=1, top_weight=None):
     """Check the lifted reflection of the strict sum mod p^n.
 
     The strict sum at k is congruent mod p^n to (-1)^depth times
     sum over 0 <= i < n of p^i times the strict sums at all indices m
     squeezed between l (+) k and l (/) k, for every non-negative shift
     vector l of total i.  At n=1 only i=0 survives and the squeeze
-    degenerates to the plain refinement sum.
+    degenerates to the plain refinement sum.  `top_weight` as for
+    `hoffman_duality_check`.
     """
     started = time.perf_counter()
     k = as_index(k)
     if not k:
         raise ValueError("need a nonempty index")
     _check_prime_exponent(p, n)
-    lhs = _zeta_residue(tuple(k), p, n)
-    total = 0
-    for i in range(n):
-        for shift in shift_vectors(k.depth, i):
-            for m in squeeze_lattice(oplus(shift, k), oslash(shift, k)):
-                total += _zeta_residue(tuple(m), p, n).value * p ** i
+    _reserve(p, n, _reach(k, n, top_weight))
+    lhs = Residue(_zeta_residue(tuple(k), p, n), p ** n)
+    total = sum(_zeta_residue(m, p, n) * p ** i for i, m in _lattice(k, n))
     rhs = Residue(-total if k.depth % 2 else total, p ** n)
     return make_report(
         "padic-duality",
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
 
 
-def seki_lifting_check(k, p, n=1):
+def seki_lifting_check(k, p, n=1, top_weight=None):
     """Check the lifted cancellation of weak sums with appended ones.
 
     Both truncated series sum p^i times the weak sum at the index with i
     ones appended, i < n; the check passes when the series for k and for
     its Hoffman dual cancel mod p^n.  At n=1 this is the plain weak-sum
-    cancellation mod p.
+    cancellation mod p.  `top_weight` as for `hoffman_duality_check`.
     """
     started = time.perf_counter()
     k = as_index(k)
     if not k:
         raise ValueError("need a nonempty index")
     _check_prime_exponent(p, n)
-    mod = p ** n
+    _reserve(p, n, _reach(k, n, top_weight))
 
     def series(base):
-        total = Residue(0, mod)
-        for i in range(n):
-            ext = Index(tuple(base) + (1,) * i)
-            total = total + zeta_star_mod(ext, p, n).residue * Residue(p ** i, mod)
-        return total
+        return sum(p ** i * _star_residue(Index(base + (1,) * i), p, n)
+                   for i in range(n))
 
-    lhs = series(k)
-    rhs = -series(hoffman_dual(k))
+    lhs = Residue(series(tuple(k)), p ** n)
+    rhs = Residue(-series(tuple(hoffman_dual(k))), p ** n)
     return make_report(
         "seki-lifting",
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)

@@ -45,8 +45,12 @@ def _eval(spec, upper, method):
 
 
 def zeta_trunc(k, upper, method="dp") -> Fraction:
-    """Strict truncated sum of depth len(k) below the fence `upper`."""
-    return _eval(zeta_chain(k), upper, method)
+    """Strict truncated sum of depth len(k) below the fence `upper`.
+
+    The dynamic-programming path is a one-fence `zeta_trunc_column`, so a
+    fence of TREE_GAP or more takes the product tree.
+    """
+    return zeta_trunc_column(k, [upper], method)[0]
 
 
 # A column with a gap of at least this many steps between its fences goes
@@ -72,9 +76,9 @@ def zeta_trunc_column(k, uppers, method="dp") -> list:
     still goes one fence at a time.
     """
     uppers = list(uppers)
-    if method != "dp" or min(uppers, default=-1) < 0:
-        return [zeta_trunc(k, n, method) for n in uppers]
     spec = zeta_chain(k)
+    if method != "dp" or min(uppers, default=-1) < 0:
+        return [_eval(spec, n, method) for n in uppers]
     fences = sorted(set(uppers))
     if max(b - a for a, b in zip([0] + fences, fences)) >= TREE_GAP:
         scales = [lcm_upto(n) ** spec.degree for n in fences]

@@ -13,7 +13,8 @@ from math import comb
 
 import pytest
 
-from zetaflat.chainsum import Residue, eval_dp_mod, zeta_star_chain
+from zetaflat import finite_padic
+from zetaflat.chainsum import Residue, eval_dp_mod, zeta_chain, zeta_star_chain
 from zetaflat.finite_padic import (
     PrimeLocalValue,
     PADIC_FIXTURES,
@@ -311,3 +312,73 @@ def test_check_inputs_are_rendered_strings():
     r = seki_lifting_check((2, 1), 7, 2)
     assert r.inputs == {"k": "2,1", "p": "7", "n": "2"}
     assert r.check_id == "seki-lifting"
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty residue tables and lookup cache before and after a test."""
+    finite_padic._table.cache_clear()
+    finite_padic._zeta_residue.cache_clear()
+    yield
+    finite_padic._table.cache_clear()
+    finite_padic._zeta_residue.cache_clear()
+
+
+def test_residue_tables_match_modular_dp(cold_tables):
+    """Every index of weight <= 6, as one walk per pair and as the branch
+    of a single lookup, equals the residue DP of its strict chain; at
+    p = 2 and 3 the deep chains are empty and read 0."""
+    indices = [tuple(k) for k in indices_up_to_weight(6)]
+    for p in primes_in(2, 31):
+        for n in (1, 2, 3):
+            table = finite_padic._walk(p, n, finite_padic._trie(6))
+            assert sorted(table) == sorted(indices)
+            for k in indices:
+                want = eval_dp_mod(zeta_chain(k), p, p ** n).value
+                assert table[k] == want, (k, p, n)
+                if len(k) >= p:
+                    assert want == 0, (k, p, n)
+            for k in indices[::7]:
+                assert zeta_mod(k, p, n).value == table[k], (k, p, n)
+
+
+@pytest.mark.parametrize("suite", ["padic", "seki", "duality-a", "antipode"])
+def test_sweep_walks_each_pair_once(suite, cold_tables, monkeypatch, capsys):
+    """A sweep passes its largest weight to every check, so the first
+    check at a (prime, exponent) pair walks that pair's whole trie and
+    every later lookup reads it."""
+    from zetaflat.cli import main
+
+    walks = []
+    real = finite_padic._walk
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
+                        walks.append((p, n, len(nodes))) or real(p, n, nodes))
+    lifted = suite in ("padic", "seki")
+    argv = ["verify", suite, "--max-weight", "3", "--primes", "3..13"]
+    assert main(argv + (["--n-values", "1,2,3"] if lifted else [])) == 0
+    capsys.readouterr()
+    pairs = [(p, n) for p in (3, 5, 7, 11, 13)
+             for n in ((1, 2, 3) if lifted else (1,))]
+    assert sorted(walks) == [(p, n, 2 ** (3 + n - 1) - 1) for p, n in pairs]
+    info = finite_padic._zeta_residue.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.hits > info.misses > 0
+
+
+def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
+    """Checks called one by one, as the pinning tool does, rebuild a
+    pair's table at most once per new weight; a single heavy lookup walks
+    its own branch, not every index of its weight."""
+    walks = []
+    real = finite_padic._walk
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
+                        walks.append((p, n)) or real(p, n, nodes))
+    for k in indices_up_to_weight(4):
+        for p in (5, 7):
+            assert padic_duality_check(k, p, 2).passed
+    assert sorted(walks) == sorted((p, 2) for p in (5, 7) for _ in range(4))
+    walks.clear()
+    k = (1,) * 9 + (2,) * 6
+    assert zeta_mod(k, 31, 2).value == eval_dp_mod(zeta_chain(k), 31, 31 ** 2).value
+    assert walks == [(31, 2)]
+    assert len(finite_padic._table(31, 2).values) == len(k)

@@ -224,8 +224,8 @@ def test_duality_convergence_unsorted_fences_with_duplicate():
             rows = duality_convergence(k, fences)
             assert [r.upper for r in rows] == fences
             for r in rows:
-                want = abs(zeta_trunc(k, r.upper)
-                           - zeta_trunc(dual(k), r.upper))
+                want = abs(eval_dp(zeta_chain(k), r.upper)
+                           - eval_dp(zeta_chain(dual(k)), r.upper))
                 assert r.diff == want and r.decimal == decimal_str(want), \
                     (k, r)
 
@@ -304,4 +304,19 @@ def test_trunc_column_dispatch_by_largest_gap(fences, tree, monkeypatch):
         # every fence of the sparse columns, eight of the dense one
         step = max(1, len(fences) // 8)
         for n, value in list(zip(fences, column))[::step]:
-            assert value == zeta_trunc(k, n), (k, n)
+            assert value == eval_dp(zeta_chain(k), n), (k, n)
+
+
+@pytest.mark.parametrize("upper", [TREE_GAP - 1, TREE_GAP, 4096])
+def test_zeta_trunc_single_fence_dispatch(upper, monkeypatch):
+    """One fence of TREE_GAP or more is a gap from 0, so zeta_trunc takes
+    the product tree there and the endpoint DP below; both equal the
+    plain dynamic program."""
+    calls = []
+    real = mzv_real.harmonic_tree
+    monkeypatch.setattr(mzv_real, "harmonic_tree",
+                        lambda *args: calls.append(args) or real(*args))
+    for k in CONVERGENCE_INDICES:
+        calls.clear()
+        assert zeta_trunc(k, upper) == eval_dp(zeta_chain(k), upper), k
+        assert len(calls) == (upper >= TREE_GAP), k
