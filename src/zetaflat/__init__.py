@@ -33,7 +33,6 @@ from .connected_sum import (
 )
 from .errors import CapExceededError, NonUnitError
 from .finite_padic import (
-    PrimeLocalValue,
     is_prime,
     primes_in,
     zeta_mod,
@@ -78,7 +77,6 @@ __all__ = [
     "Index",
     "NonUnitError",
     "Position",
-    "PrimeLocalValue",
     "Residue",
     "TelescopeTrace",
     "VerificationReport",

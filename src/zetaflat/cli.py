@@ -344,16 +344,26 @@ def verify_tasks(args, caps):
             indices = [Index(t) for t in CONVERGENCE_INDICES]
         for k in indices:
             caps.check_weight(k)
+        for k in indices:
+            # The decrease is ranked only past the empty fences N <= depth
+            # (see _convergence_report); it needs two fences there.
+            depth = max(k.depth, dual(k).depth)
+            if sum(2 ** j > depth for j in range(lo, hi + 1)) < 2:
+                raise ValueError(
+                    f"--powers {lo}..{hi} gives fewer than two fences above "
+                    f"depth {depth} for index {format_index(k)}, so duality-r "
+                    f"has nothing to compare")
             tasks.append((_duality_r_report, {"k": k, "lo": lo, "hi": hi}))
     elif suite in ("duality-a", "antipode"):
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
         check = (hoffman_duality_check if suite == "duality-a"
                  else antipode_duality_check)
+        primes = primes_in(max(lo, 3), hi)
         for k in indices_up_to_weight(args.max_weight):
             if not k:
                 continue
-            for p in primes_in(max(lo, 3), hi):
+            for p in primes:
                 tasks.append((check, {"k": k, "p": p,
                                       "top_weight": args.max_weight}))
     elif suite in ("padic", "seki"):
@@ -367,6 +377,8 @@ def verify_tasks(args, caps):
             if n >= 2 and fixtures is None:
                 fixtures = load_thresholds(
                     PADIC_FIXTURES if suite == "padic" else SEKI_FIXTURES)
+        # One prime list for the grid; each exponent's floor filters it.
+        primes = primes_in(lo, hi)
         for k in indices_up_to_weight(args.max_weight):
             if not k:
                 continue
@@ -383,7 +395,7 @@ def verify_tasks(args, caps):
                                        "k": k, "n": n}))
                         continue
                     floor = max(lo, pinned)
-                for p in primes_in(floor, hi):
+                for p in (q for q in primes if q >= floor):
                     tasks.append((check, {"k": k, "p": p, "n": n,
                                           "top_weight": args.max_weight}))
     elif suite == "log2":
@@ -425,6 +437,8 @@ def cmd_verify(args):
         raise ValueError("--csv needs suite duality-r with exactly one --index")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be positive, got {args.jobs}")
+    if args.method != "dp" and args.suite != "main":
+        raise ValueError(f"--method {args.method} applies only to suite main")
     tasks = verify_tasks(args, caps)
     if not tasks:
         raise ValueError("the grid holds no instances to check")

@@ -82,32 +82,6 @@ def transport_weight_up_check(upper, n, m):
                        lhs, rhs, started)
 
 
-def connector_difference_failures(upper):
-    """One-step difference identities behind the transports.
-
-    For 0 < n < b <= N:  (1/n)(C_N(n,b) - C_N(n,b-1)) == C_N(n,b)/b.
-    For 0 < a <= b < N:  (1/a)(C_N(a,b+1) - C_N(a,b))
-                             == (C_N(a-1,b) - C_N(a,b))/(N-b).
-
-    Returns the (kind, first, second) triples that fail; empty means both
-    families hold everywhere at this N.
-    """
-    bad = []
-    for b in range(1, upper + 1):
-        for n in range(1, b):
-            lhs = Fraction(1, n) * (connector(upper, n, b) - connector(upper, n, b - 1))
-            rhs = connector(upper, n, b) * Fraction(1, b)
-            if lhs != rhs:
-                bad.append(("step-down", n, b))
-    for b in range(1, upper):
-        for a in range(1, b + 1):
-            lhs = Fraction(1, a) * (connector(upper, a, b + 1) - connector(upper, a, b))
-            rhs = (connector(upper, a - 1, b) - connector(upper, a, b)) * Fraction(1, upper - b)
-            if lhs != rhs:
-                bad.append(("step-up", a, b))
-    return bad
-
-
 def connected_sum(upper, left, right) -> Fraction:
     """The connector-coupled double sum Z_N(left | right).
 
@@ -136,28 +110,6 @@ def connected_sum(upper, left, right) -> Fraction:
             inner = sum(comb(u, v) * b[upper - u] for u in range(v, upper + 1))
             total += a[v] * (den // rows[v]) * inner
     return Fraction(total, sa * sb * den)
-
-
-def transport_step_check(upper, head, tail, rest):
-    """One telescoping move: the exponent `tail` crosses the connector.
-
-    Checks Z_N(head + (tail) | rest) == Z_N(head | (tail) + rest).  With
-    empty `head` this lands on the left boundary convention, with empty
-    `rest` it starts from the right one, and with both empty it is the
-    depth-one identity between the two conventions.
-    """
-    started = time.perf_counter()
-    head = as_index(head)
-    rest = as_index(rest)
-    if not isinstance(tail, int) or tail < 1:
-        raise ValueError(f"the transported exponent must be a positive integer, got {tail!r}")
-    lhs = connected_sum(upper, Index(tuple(head) + (tail,)), rest)
-    rhs = connected_sum(upper, head, Index((tail,) + tuple(rest)))
-    return make_report(
-        "transport-step",
-        {"N": upper, "head": format_index(head) or "-",
-         "tail": tail, "rest": format_index(rest) or "-"},
-        lhs, rhs, started)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -112,28 +111,6 @@ def _check_prime_exponent(p, n):
         raise ValueError(f"exponent must be a positive integer, got {n!r}")
 
 
-@dataclass(frozen=True)
-class PrimeLocalValue:
-    """One prime coordinate of a truncated sum: a residue mod p^n."""
-
-    p: int
-    n: int
-    residue: Residue
-
-    def __post_init__(self):
-        if self.residue.modulus != self.p ** self.n:
-            raise ValueError(
-                f"residue modulus {self.residue.modulus} is not "
-                f"{self.p}^{self.n}")
-
-    @property
-    def value(self):
-        return self.residue.value
-
-    def __str__(self):
-        return str(self.residue)
-
-
 def _walk(p, n, nodes):
     """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`.
 
@@ -212,7 +189,7 @@ def _star_residue(k, p, n):
     return sum(_zeta_residue(tuple(l), p, n) for l in coarsenings(k))
 
 
-def zeta_mod(k, p, n=1) -> PrimeLocalValue:
+def zeta_mod(k, p, n=1) -> Residue:
     """The strict truncated sum at fence p, reduced mod p^n.
 
     Every denominator lies in [1, p-1], so reduction never meets a
@@ -220,14 +197,14 @@ def zeta_mod(k, p, n=1) -> PrimeLocalValue:
     """
     k = as_index(k)
     _check_prime_exponent(p, n)
-    return PrimeLocalValue(p, n, Residue(_zeta_residue(tuple(k), p, n), p ** n))
+    return Residue(_zeta_residue(tuple(k), p, n), p ** n)
 
 
-def zeta_star_mod(k, p, n=1) -> PrimeLocalValue:
+def zeta_star_mod(k, p, n=1) -> Residue:
     """The weak-inequality variant mod p^n, as a sum over coarsenings."""
     k = as_index(k)
     _check_prime_exponent(p, n)
-    return PrimeLocalValue(p, n, Residue(_star_residue(k, p, n), p ** n))
+    return Residue(_star_residue(k, p, n), p ** n)
 
 
 def hoffman_duality_check(k, p, top_weight=None):

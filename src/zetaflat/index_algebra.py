@@ -204,20 +204,12 @@ def refines(coarse, fine) -> bool:
     return _commas(coarse) <= _commas(fine)
 
 
-def boundary_set(k) -> frozenset:
-    """Positions opening a block of k, final fence included.
-
-    For k = (k_1, ..., k_r) of weight w this is {1, k_1+1, k_1+k_2+1, ...,
-    w+1}, the comma set shifted by one plus both fences: the positions, in
-    a chain of w variables fenced by 0 and N, where the relation tightens
-    to strict.
-    """
-    k = as_index(k)
-    return boundary_set_tilde(k) | {k.weight + 1}
-
-
 def boundary_set_tilde(k) -> frozenset:
-    """Block-opening positions of k without the final fence."""
+    """Positions opening a block of k: {1, k_1+1, ..., k_1+...+k_(r-1)+1}.
+
+    The comma set shifted by one, with 1 added: the positions, in a chain
+    of w variables fenced below by 0, where the relation tightens to strict.
+    """
     k = _nonempty(k, "boundary set")
     return frozenset({1, *(c + 1 for c in _commas(k))})
 

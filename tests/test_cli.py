@@ -8,6 +8,12 @@ import pytest
 import zetaflat
 from zetaflat import cli
 from zetaflat.cli import entry, parse_exponents, parse_range, parse_side
+from zetaflat.finite_padic import (
+    PADIC_FIXTURES,
+    SEKI_FIXTURES,
+    load_thresholds,
+    primes_in,
+)
 from zetaflat.index_algebra import Index, indices_up_to_weight
 from zetaflat.mzv_real import log2_discretization_check, zeta_trunc
 from zetaflat.reports import decimal_str
@@ -209,6 +215,70 @@ def test_verify_duality_r_fails_a_rise_after_the_empty_fences(capsys):
     code, out, _ = run_cli(["verify", "duality-r", "--index", "1,3,2",
                             "--powers", "3..6", "--json"], capsys)
     assert code == 0 and json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("powers", ["0..1", "1..2", "12..12"])
+def test_verify_duality_r_needs_two_ranked_fences(powers, capsys):
+    """No convergence index has two fences above its depth (or its dual's)
+    in these ranges, so there is no decrease to check."""
+    code, out, err = run_cli(["verify", "duality-r", "--powers", powers],
+                             capsys)
+    assert code == 2 and out == "", powers
+    assert err.startswith("error: --powers ") and "index 3," in err, err
+    assert "PASS" not in out + err
+
+
+def test_verify_duality_r_rejects_non_admissible_index_before_reports(capsys):
+    code, out, err = run_cli(["verify", "duality-r", "--index", "3",
+                              "--index", "2,1", "--powers", "3..5"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: index (2, 1) is not admissible\n"
+
+
+def test_verify_method_enum_only_for_main(capsys):
+    for suite in cli.VERIFY_SUITES:
+        if suite == "main":
+            continue
+        code, out, err = run_cli(["verify", suite, "--max-weight", "2",
+                                  "--max-upper", "3", "--method", "enum"],
+                                 capsys)
+        assert code == 2 and out == "", suite
+        assert err == "error: --method enum applies only to suite main\n"
+
+
+def test_verify_builds_one_prime_list_per_grid(monkeypatch):
+    calls = []
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return primes_in(lo, hi)
+
+    monkeypatch.setattr(cli, "primes_in", counted)
+    for argv in (["padic", "--max-weight", "4", "--primes", "5..199"],
+                 ["seki", "--max-weight", "3", "--primes", "2..60",
+                  "--n-values", "1,2,3"],
+                 ["duality-a", "--max-weight", "3", "--primes", "2..40"],
+                 ["antipode", "--max-weight", "3", "--primes", "7..40"]):
+        args = cli.build_parser().parse_args(["verify"] + argv)
+        calls.clear()
+        tasks = cli.verify_tasks(args, cli.caps_of(args))
+        assert len(calls) == 1, argv
+        # the grid is what a prime list per pinned floor gives
+        lo, hi = parse_range(args.primes)
+        fixtures = load_thresholds(PADIC_FIXTURES if argv[0] == "padic"
+                                   else SEKI_FIXTURES)
+        want = []
+        for k in indices_up_to_weight(args.max_weight):
+            for n in (parse_exponents(args.n_values)
+                      if argv[0] in ("padic", "seki") else [None]):
+                floor = max(lo, 3 if n in (1, None) else fixtures[(k, n)])
+                want += [(k, p, n) for p in primes_in(floor, hi)]
+        assert [(kw["k"], kw["p"], kw.get("n")) for _, kw in tasks] == want
+
+
+def test_every_public_name_resolves():
+    for name in zetaflat.__all__:
+        assert getattr(zetaflat, name) is not None, name
 
 
 def test_verify_csv_needs_single_index(capsys):

@@ -169,7 +169,7 @@ def run_in_process(argv):
 @given(any_argv())
 # edges the random draws reach only now and then
 # empty fences below the depth, reported but not ranked
-@example(["verify", "duality-r", "--powers=0..2", "--json"])
+@example(["verify", "duality-r", "--powers=0..3", "--json"])
 @example(["verify", "duality-r", "--index=1,3,2", "--powers=0..4"])  # a real FAIL
 @example(["verify", "duality-r", "--powers=-2..3"])
 @example(["verify", "padic", "--max-weight=2", "--primes=a..b"])

@@ -19,9 +19,7 @@ from zetaflat.connected_sum import (
     TelescopeTrace,
     connected_sum,
     connector,
-    connector_difference_failures,
     telescope,
-    transport_step_check,
     transport_weight_down_check,
     transport_weight_up_check,
 )
@@ -140,11 +138,6 @@ def test_transport_argument_validation():
         transport_weight_up_check(5, 3, 3)
 
 
-def test_connector_difference_identities():
-    for upper in range(1, 21):
-        assert connector_difference_failures(upper) == []
-
-
 def test_connected_sum_boundaries():
     assert connected_sum(2, (2,), ()) == Fraction(5, 4)
     assert connected_sum(2, (), (2,)) == Fraction(5, 4)
@@ -172,16 +165,6 @@ def test_depth_one_bridge():
     for e in range(1, 5):
         for upper in range(1, 16):
             assert connected_sum(upper, (e,), ()) == connected_sum(upper, (), (e,))
-
-
-def test_transport_step_shapes():
-    r = transport_step_check(5, (), 2, ())
-    assert r.passed
-    assert r.inputs == {"N": "5", "head": "-", "tail": "2", "rest": "-"}
-    assert transport_step_check(5, (1,), 2, ()).passed
-    assert transport_step_check(5, (), 1, (2,)).passed
-    with pytest.raises(ValueError):
-        transport_step_check(5, (), 0, ())
 
 
 def test_telescope_spec_instances():
@@ -217,17 +200,6 @@ def test_telescope_grid():
             assert t.all_equal, (k, upper)
             assert t.stages[0].value == zeta_trunc(k, upper + 1)
             assert t.stages[-1].value == zeta_flat(k, upper + 1)
-
-
-def test_adjacent_stages_are_transport_steps():
-    for k in [(2,), (1, 2), (2, 1), (1, 1, 2), (2, 3)]:
-        k = Index(k)
-        for upper in (2, 5, 8):
-            for j in range(k.depth):
-                head = k[: k.depth - j - 1]
-                tail = k[k.depth - j - 1]
-                rest = k[k.depth - j:]
-                assert transport_step_check(upper, head, tail, rest).passed
 
 
 def test_trace_serialization():
