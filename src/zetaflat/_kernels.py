@@ -8,10 +8,10 @@ For the exact kernels a row holds the denominators `dens[i][n]`, and
 values are carried as integers scaled by a common denominator; the scale
 is a multiple of every denominator product, so every division below is
 exact.  For the residue kernel a row holds the inverse denominators.
-Both dynamic programs return their final layer, the value at each
-endpoint; the residue one also starts from a given layer, so a strict
-harmonic chain can be extended one position at a time
-(`finite_padic` walks a trie of index prefixes that way).
+Both dynamic programs start from a given layer and return their final
+one, the value at each endpoint, so a chain can be extended one
+position at a time: `finite_padic` walks a trie of index prefixes that
+way mod p^n, and `mzv_real` a trie of reflected block forms exactly.
 
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
 chain (what `zeta_chain` compiles to) and sorted fences.  It carries the
@@ -49,18 +49,18 @@ def enum_sum(dens, stricts, lbs, ubs, scale):
     return rec(0, 0, scale)
 
 
-def dp_sum(dens, stricts, lbs, ubs, lams):
+def dp_sum(dens, stricts, lbs, ubs, lams, front):
     """Prefix-sum dynamic program over the same plan.
 
     Layer i holds, for each endpoint value n, the scaled sum over all
     partial tuples ending at n; `lams[i]` is the per-layer scale factor
-    (a multiple of every dens[i][n] on the band).  Returns the final
-    layer, whose entries vanish off the last band and add up to the
-    scaled sum of the whole chain.
+    (a multiple of every dens[i][n] on the band).  `front` is the layer
+    the program starts from: [1, 0, 0, ...] for a whole chain, or the
+    final layer of a prefix to extend it by the planned positions.
+    Returns the final layer, whose entries vanish off the last band and
+    add up to the scaled sum of the whole chain.
     """
     size = len(dens[0])
-    front = [0] * size
-    front[0] = 1
     for i in range(len(dens)):
         lo, hi = lbs[i], ubs[i]
         lam = lams[i]

@@ -288,9 +288,12 @@ def _plan(spec, upper, modulus=None):
 def _denominator_row(refl, harm, upper):
     """(upper - n)^refl * n^harm for 0 <= n <= upper, as a tuple.
 
-    `verify main --max-weight 8` reads 85 rows up to fence 40, 212 up to
-    fence 100.  Under the default caps (fence 4096, weight 8) a row takes
-    at most 190 KB, so the cache stays under 50 MB.
+    `verify main --max-weight 8` reads 85 rows up to fence 40 and 205 up
+    to fence 100 (`cache_info().misses`): the two step rows of the
+    `zeta_flat` walk at each fence from 2, and one row per exponent at
+    the top fence for the strict columns.  Under the default caps (fence
+    4096, weight 8) a row takes at most 190 KB, so the cache stays under
+    50 MB.
     """
     return tuple((upper - n) ** refl * n ** harm for n in range(upper + 1))
 
@@ -354,7 +357,7 @@ def endpoint_values(spec: ChainSpec, upper):
         return [0] * (upper + 1), 1
     lcm = lcm_upto(upper)
     lams = [lcm ** p.weight.degree for p in spec.positions]
-    return dp_sum(*plan, lams), lcm ** spec.degree
+    return dp_sum(*plan, lams, [1] + [0] * upper), lcm ** spec.degree
 
 
 def eval_dp(spec: ChainSpec, upper) -> Fraction:

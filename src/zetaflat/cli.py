@@ -287,11 +287,12 @@ def _trunc_column(k, top, method):
     return zeta_trunc_column(k, range(top + 1), method)
 
 
-def _main_identity_report(k, upper, top, method):
+def _main_identity_report(k, upper, top, method, top_weight):
     started = time.perf_counter()
     return make_report("main", {"k": format_index(k), "N": upper},
                        _trunc_column(k, top, method)[upper],
-                       zeta_flat(k, upper, method), started)
+                       zeta_flat(k, upper, method, top_weight=top_weight),
+                       started)
 
 
 def _missing_fixture_report(check_id, k, n):
@@ -322,7 +323,8 @@ def verify_tasks(args, caps):
                 if suite == "main":
                     tasks.append((_main_identity_report,
                                   {"k": k, "upper": n, "top": args.max_upper,
-                                   "method": args.method}))
+                                   "method": args.method,
+                                   "top_weight": args.max_weight}))
                 elif suite == "telescope":
                     tasks.append((_telescope_report, {"k": k, "upper": n}))
                 else:

@@ -50,13 +50,13 @@ from .index_algebra import (
     coarsenings,
     format_index,
     hoffman_dual,
-    indices_up_to_weight,
     oplus,
     oslash,
     parse_index,
     refinements,
     shift_vectors,
     squeeze_lattice,
+    trie_order,
 )
 from .reports import make_report
 
@@ -115,10 +115,11 @@ def _walk(p, n, nodes):
     """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`.
 
     `nodes` are tuples closed under taking prefixes and sorted, which is
-    the pre-order of a depth-first walk over their trie, so the layer of
-    a node's parent is the last one kept at the parent's depth.  Each
-    exponent is planned once, as the one-position chain zeta_chain((e,))
-    at fence p: its row of 1/v^e, its band [1, p - 1] and its unit check.
+    the pre-order of a depth-first walk over their trie (see
+    `trie_order`), so the layer of a node's parent is the last one kept
+    at the parent's depth.  Each exponent is planned once, as the
+    one-position chain zeta_chain((e,)) at fence p: its row of 1/v^e,
+    its band [1, p - 1] and its unit check.
     """
     mod = p ** n
     plans = {}
@@ -132,12 +133,6 @@ def _walk(p, n, nodes):
         layers.append(dp_sum_mod(*plans[e], mod, layers[-1]))
         values[m] = sum(layers[-1]) % mod
     return values
-
-
-@lru_cache(maxsize=4)
-def _trie(weight):
-    """Every index of weight <= `weight`, as tuples in lexicographic order."""
-    return tuple(sorted(map(tuple, indices_up_to_weight(weight))))
 
 
 class _Table:
@@ -162,7 +157,7 @@ def _reserve(p, n, weight):
     """Walk the pair's whole trie up to `weight`, unless it is covered."""
     table = _table(p, n)
     if table.weight < weight:
-        table.values.update(_walk(p, n, _trie(weight)))
+        table.values.update(_walk(p, n, trie_order(weight)))
         table.weight = weight
 
 

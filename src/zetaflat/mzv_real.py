@@ -18,9 +18,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernels import harmonic_tree
+from ._kernels import dp_sum, harmonic_tree
 from .chainsum import (
     ChainSpec,
+    _plan,
     endpoint_values,
     equality_strata,
     eval_dp,
@@ -32,7 +33,7 @@ from .chainsum import (
     zeta_chain,
     zeta_star_chain,
 )
-from .index_algebra import Index, as_index, dual
+from .index_algebra import Index, as_index, dual, trie_order
 from .reports import decimal_str, make_report
 
 
@@ -100,9 +101,81 @@ def zeta_star_trunc(k, upper, method="dp") -> Fraction:
     return _eval(zeta_star_chain(k), upper, method)
 
 
-def zeta_flat(k, upper, method="dp") -> Fraction:
-    """Reflected block form of a nonempty index; equals zeta_trunc."""
-    return _eval(flat_chain(k), upper, method)
+def _flat_walk(upper, nodes):
+    """{k: zeta_flat(k, N) * lcm(1..N)^weight(k)} for k in `nodes`, N = upper.
+
+    The block form of k is that of its parent in the weight trie (see
+    `trie_order`) plus one position: a block opening, strict with factor
+    1/(N - n), when k ends in 1, else a weak continuation with factor
+    1/n.  Those are the two positions of flat_chain((2,)), planned once
+    at the fence on the band [1, N - 1], and a node's layer is its
+    parent's, extended through `dp_sum` by one of them.  `nodes` must be
+    closed under parents and in trie order, and the fence at least 2.
+    """
+    plan = _plan(flat_chain((2,)), upper)
+    opening, continuation = (tuple([col[i]] for col in plan) for i in (0, 1))
+    lams = [lcm_upto(upper)]
+    layers = [[1] + [0] * upper]
+    values = {}
+    for k in nodes:
+        del layers[sum(k):]
+        layers.append(dp_sum(*(opening if k[-1] == 1 else continuation),
+                             lams, layers[-1]))
+        values[k] = sum(layers[-1])
+    return values
+
+
+def _branch(k):
+    """k and its ancestors in the weight trie, in trie order."""
+    return [k[:i] + (j,) for i, part in enumerate(k) for j in range(1, part + 1)]
+
+
+# Per fence, the values of a whole-trie walk not read yet (see zeta_flat).
+_flat_tables = {}
+
+# A sweep keeps a table at every fence from its first index to its last,
+# and at top weight W a table at fence N holds about 2^W * W * 1.3 N bits.
+# Tables are kept only at fences with 2^W * W * N^2 <= FLAT_TABLE_BITS:
+# N <= 256 at W = 8, where they peak at 10 MiB of values (17 MB resident).
+# Above, a read walks its own branch.
+FLAT_TABLE_BITS = 1 << 27
+
+
+def zeta_flat(k, upper, method="dp", *, top_weight=None) -> Fraction:
+    """Reflected block form of a nonempty index; equals zeta_trunc.
+
+    The dynamic-programming path reads k's value from a walk of the
+    weight trie at the fence (`_flat_walk`).  With `top_weight`, the
+    first read at a fence walks every index of weight up to it (or up to
+    the weight of k, if larger) and keeps their values in the fence's
+    table, if the fence is low enough for FLAT_TABLE_BITS.  A read takes
+    its value out, and an emptied table is dropped, so a sweep that reads
+    each index once at every fence, as `verify main` does with its
+    --max-weight, walks each such fence once and ends with no tables.  A
+    value not in a table walks k's own branch, one step per unit of
+    weight, which costs what one dynamic program over flat_chain(k)
+    costs.
+    """
+    if method != "dp":
+        return _eval(flat_chain(k), upper, method)
+    k = as_index(k)
+    if not k:
+        raise ValueError("need a nonempty index")
+    if 0 <= upper <= 1:
+        return Fraction(0)  # the first variable needs 1 <= n <= N - 1
+    k, weight = tuple(k), k.weight
+    table = _flat_tables.get(upper)
+    if table is None and top_weight is not None:
+        top = max(top_weight, weight)
+        if 2 ** top * top * upper ** 2 <= FLAT_TABLE_BITS:
+            table = _flat_tables[upper] = _flat_walk(upper, trie_order(top))
+    if table is not None and k in table:
+        value = table.pop(k)
+        if not table:
+            del _flat_tables[upper]
+    else:
+        value = _flat_walk(upper, _branch(k))[k]
+    return Fraction(value, lcm_upto(upper) ** weight)
 
 
 def riemann_sum(k, upper, method="dp") -> Fraction:

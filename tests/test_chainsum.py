@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaflat._kernels import dp_sum
 from zetaflat.chainsum import (
     HARMONIC,
     REFLECTED,
@@ -28,6 +29,7 @@ from zetaflat.chainsum import (
     flat_chain,
     flat_support_chain,
     hoffman_weak_chain,
+    lcm_upto,
     reflect_chain,
     riemann_chain,
     tilde_chain,
@@ -228,6 +230,34 @@ def test_endpoint_values_against_oracle():
         for v in range(upper + 1):
             assert Fraction(front[v], scale) == oracle_sum(spec, upper, v), (spec, v)
         done += 1
+
+
+def test_dp_extends_a_prefix_layer():
+    """The final layer of a prefix, run on through the rest of the whole
+    chain's plan, is the whole chain's final layer: where the prefix
+    reaches past the whole chain's band, no later position reads it."""
+    rng = random.Random(3307)
+    specs = [flat_chain(k) for k in indices_up_to_weight(4)]
+    specs += [zeta_chain(k) for k in ((1, 2, 1), (3, 1, 2))]
+    specs += [ChainSpec(random_spec(rng).positions) for _ in range(40)]
+    done = 0
+    for spec in specs:
+        for upper in range(0, 9):
+            if not spec_is_safe(spec, upper):
+                continue
+            plan = _plan(spec, upper)
+            want, _ = endpoint_values(spec, upper)
+            if plan is None:
+                assert not any(want)
+                continue
+            lcm = lcm_upto(upper)
+            for j in range(1, spec.length):
+                front, _ = endpoint_values(ChainSpec(spec.positions[:j]), upper)
+                tail = [col[j:] for col in plan]
+                lams = [lcm ** p.weight.degree for p in spec.positions[j:]]
+                assert dp_sum(*tail, lams, front) == want, (spec, upper, j)
+                done += 1
+    assert done > 200
 
 
 def test_plan_rows_are_cached_denominators():

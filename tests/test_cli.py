@@ -235,6 +235,21 @@ def test_verify_duality_r_rejects_non_admissible_index_before_reports(capsys):
     assert err == "error: index (2, 1) is not admissible\n"
 
 
+def test_verify_main_methods_agree(capsys):
+    """The table walk behind --method dp and the enumeration behind
+    --method enum give the same report stream."""
+    base = ["verify", "main", "--max-weight", "4", "--max-upper", "9", "--json"]
+    streams = []
+    for method in ("dp", "enum"):
+        code, out, err = run_cli(base + ["--method", method], capsys)
+        assert code == 0 and err == "PASS 135/135\n"
+        streams.append([{key: row[key] for key in ("check_id", "inputs", "lhs",
+                                                   "rhs", "pass")}
+                        for row in map(json.loads, out.splitlines())])
+    assert streams[0] == streams[1]
+    assert len(streams[0]) == 135
+
+
 def test_verify_method_enum_only_for_main(capsys):
     for suite in cli.VERIFY_SUITES:
         if suite == "main":

@@ -38,6 +38,7 @@ from zetaflat.index_algebra import (
     compositions_of,
     hoffman_dual,
     indices_up_to_weight,
+    trie_order,
 )
 from zetaflat.mzv_real import zeta_trunc
 from zetaflat.reports import fraction_str
@@ -325,7 +326,7 @@ def test_residue_tables_match_modular_dp(cold_tables):
     indices = [tuple(k) for k in indices_up_to_weight(6)]
     for p in primes_in(2, 31):
         for n in (1, 2, 3):
-            table = finite_padic._walk(p, n, finite_padic._trie(6))
+            table = finite_padic._walk(p, n, trie_order(6))
             assert sorted(table) == sorted(indices)
             for k in indices:
                 want = eval_dp_mod(zeta_chain(k), p, p ** n).value

@@ -21,11 +21,17 @@ from zetaflat.chainsum import (
     endpoint_values,
     eval_dp,
     eval_enum,
+    flat_chain,
     lcm_upto,
     zeta_chain,
 )
 from zetaflat.cli import CONVERGENCE_INDICES
-from zetaflat.index_algebra import coarsenings, dual, indices_up_to_weight
+from zetaflat.index_algebra import (
+    coarsenings,
+    dual,
+    indices_up_to_weight,
+    trie_order,
+)
 from zetaflat.reports import decimal_str
 from zetaflat.mzv_real import (
     TREE_GAP,
@@ -320,3 +326,77 @@ def test_zeta_trunc_single_fence_dispatch(upper, monkeypatch):
         calls.clear()
         assert zeta_trunc(k, upper) == eval_dp(zeta_chain(k), upper), k
         assert len(calls) == (upper >= TREE_GAP), k
+
+
+@pytest.fixture
+def flat_walks(monkeypatch):
+    """No per-fence zeta_flat tables before and after a test; the list
+    of (fence, nodes) of every trie walk made during it."""
+    walks = []
+    real = mzv_real._flat_walk
+    monkeypatch.setattr(mzv_real, "_flat_walk", lambda upper, nodes:
+                        walks.append((upper, list(nodes))) or real(upper, nodes))
+    mzv_real._flat_tables.clear()
+    yield walks
+    mzv_real._flat_tables.clear()
+
+
+def test_flat_walk_matches_oracles(flat_walks):
+    """Every index of weight <= 6 at fences 0..16: read from the fence's
+    table it equals enumeration, and read again once released (its own
+    branch) it equals the dynamic program over its block form."""
+    indices = trie_order(6)
+    for n in range(17):
+        values = {}
+        for k in indices:
+            values[k] = zeta_flat(k, n, top_weight=6)
+            assert values[k] == eval_enum(flat_chain(k), n), (k, n)
+        assert n not in mzv_real._flat_tables
+        for k in indices:
+            again = zeta_flat(k, n)
+            assert again == values[k] == eval_dp(flat_chain(k), n), (k, n)
+    assert mzv_real._flat_tables == {}
+    assert [n for n, nodes in flat_walks if len(nodes) == 63] == list(range(2, 17))
+
+
+def test_flat_branch_walks_weight_nodes(flat_walks):
+    """A read without a top weight walks k's own branch, one node per
+    unit of weight, and keeps no table."""
+    k = (2, 1, 3)
+    assert zeta_flat(k, 12) == eval_dp(flat_chain(k), 12)
+    assert flat_walks == [
+        (12, [(1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3)])]
+    assert mzv_real._flat_tables == {}
+    with pytest.raises(ValueError):
+        zeta_flat((), 5)
+    with pytest.raises(ValueError):
+        zeta_flat((1, 2), -1, top_weight=3)
+
+
+def test_sweep_walks_each_fence_once(flat_walks, capsys):
+    """verify main passes its largest weight, so the first check at a
+    fence walks the whole trie there and every later check reads it;
+    fences 0 and 1 hold no tuple and walk nothing."""
+    from zetaflat.cli import main
+
+    assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9"]) == 0
+    capsys.readouterr()
+    assert sorted((n, len(nodes)) for n, nodes in flat_walks) == [
+        (n, 15) for n in range(2, 10)]
+    assert mzv_real._flat_tables == {}
+
+
+def test_sweep_past_the_table_budget(flat_walks, monkeypatch, capsys):
+    """Above the fences FLAT_TABLE_BITS allows, each index walks its own
+    branch; the sweep still passes and ends with no tables."""
+    from zetaflat.cli import main
+
+    # 2^3 * 3 * N^2 <= 100 only at N = 2
+    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 100)
+    assert main(["verify", "main", "--max-weight", "3", "--max-upper", "6"]) == 0
+    capsys.readouterr()
+    walks = [(n, len(nodes)) for n, nodes in flat_walks]
+    assert walks[0] == (2, 7)
+    assert sorted(walks[1:]) == sorted((n, sum(k)) for k in trie_order(3)
+                                       for n in range(3, 7))
+    assert mzv_real._flat_tables == {}
