@@ -15,10 +15,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import groupby
+from math import log10
 
 from .connected_sum import (
     connected_sum,
@@ -34,9 +34,11 @@ from .finite_padic import (
     antipode_duality_check,
     hoffman_duality_check,
     hoffman_identity_check,
+    hoffman_identity_sweep,
     load_thresholds,
     padic_duality_check,
     primes_in,
+    residue_sweep,
     seki_lifting_check,
 )
 from .index_algebra import (
@@ -49,11 +51,12 @@ from .index_algebra import (
 from .mzv_real import (
     duality_convergence,
     log2_discretization_check,
+    main_identity_check,
+    main_sweep,
     riemann_sum,
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
-    zeta_trunc_column,
 )
 from .reports import VerificationReport, decimal_str, fraction_str, make_report
 
@@ -78,6 +81,14 @@ class Caps:
     def check_upper(self, n):
         if n > self.upper:
             raise CapExceededError(f"fence {n} exceeds cap {self.upper}")
+
+    def check_power(self, j):
+        """check_upper(2 ** j), naming 2^j in full only where it prints."""
+        if 2 ** min(j, self.upper.bit_length()) <= self.upper:
+            return
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        fence = 2 ** j if j * log10(2) < digits else f"2^{j}"
+        raise CapExceededError(f"fence {fence} exceeds cap {self.upper}")
 
     def check_prime(self, p):
         if p > self.prime:
@@ -280,21 +291,6 @@ def _convergence_report(k, lo, hi, rows, started):
     )
 
 
-@lru_cache(maxsize=1)
-def _trunc_column(k, top, method):
-    # A sweep checks one index's fences in a row, so one entry serves it;
-    # under --jobs a chunk recomputes it only where it starts mid-index.
-    return zeta_trunc_column(k, range(top + 1), method)
-
-
-def _main_identity_report(k, upper, top, method, top_weight):
-    started = time.perf_counter()
-    return make_report("main", {"k": format_index(k), "N": upper},
-                       _trunc_column(k, top, method)[upper],
-                       zeta_flat(k, upper, method, top_weight=top_weight),
-                       started)
-
-
 def _missing_fixture_report(check_id, k, n):
     return VerificationReport(
         check_id=check_id,
@@ -321,15 +317,12 @@ def verify_tasks(args, caps):
                 continue
             for n in range(1, args.max_upper + 1):
                 if suite == "main":
-                    tasks.append((_main_identity_report,
-                                  {"k": k, "upper": n, "top": args.max_upper,
-                                   "method": args.method,
-                                   "top_weight": args.max_weight}))
+                    tasks.append((main_identity_check,
+                                  {"k": k, "upper": n, "method": args.method}))
                 elif suite == "telescope":
                     tasks.append((_telescope_report, {"k": k, "upper": n}))
                 else:
-                    tasks.append((hoffman_identity_check,
-                                  {"k": k, "upper": n, "top": args.max_upper}))
+                    tasks.append((hoffman_identity_check, {"k": k, "upper": n}))
     elif suite == "transport":
         caps.check_upper(args.max_upper)
         for n in range(1, args.max_upper + 1):
@@ -339,7 +332,7 @@ def verify_tasks(args, caps):
         lo, hi = parse_range(args.powers)
         if not 0 <= lo <= hi:
             raise ValueError(f"empty or negative fence range 2^{lo}..2^{hi}")
-        caps.check_upper(2 ** hi)
+        caps.check_power(hi)
         if args.index:
             indices = [parse_index(t) for t in args.index]
         else:
@@ -366,8 +359,7 @@ def verify_tasks(args, caps):
             if not k:
                 continue
             for p in primes:
-                tasks.append((check, {"k": k, "p": p,
-                                      "top_weight": args.max_weight}))
+                tasks.append((check, {"k": k, "p": p}))
     elif suite in ("padic", "seki"):
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
@@ -398,8 +390,7 @@ def verify_tasks(args, caps):
                         continue
                     floor = max(lo, pinned)
                 for p in (q for q in primes if q >= floor):
-                    tasks.append((check, {"k": k, "p": p, "n": n,
-                                          "top_weight": args.max_weight}))
+                    tasks.append((check, {"k": k, "p": p, "n": n}))
     elif suite == "log2":
         caps.check_upper(args.max_upper)
         for n in range(1, args.max_upper + 1):
@@ -407,28 +398,66 @@ def verify_tasks(args, caps):
     return tasks
 
 
-def _call(task):
-    fn, kwargs = task
-    return fn(**kwargs)
+def _sweeps(tasks):
+    """The report of each task, in order: each run of consecutive tasks
+    that one sweep serves goes to it in one call, which shares its tables
+    across the run; any other task is called alone."""
+    sweeps = dict.fromkeys((hoffman_duality_check, antipode_duality_check,
+                            padic_duality_check, seki_lifting_check,
+                            _missing_fixture_report), residue_sweep)
+    sweeps.update({main_identity_check: main_sweep,
+                   hoffman_identity_check: hoffman_identity_sweep})
+    for sweep, run in groupby(tasks, lambda task: sweeps.get(task[0])):
+        if sweep is None:
+            yield from (fn(**kwargs) for fn, kwargs in run)
+        else:
+            yield from sweep(list(run))
+
+
+def _piece_reports(piece):
+    return list(_sweeps(piece))
+
+
+def _pieces(tasks, jobs):
+    """`tasks` in contiguous pieces for `jobs` workers, cut only where the
+    index changes (a task without one stands alone).  A grid over primes
+    walks every (prime, exponent) trie again in each piece, so it takes
+    `jobs` pieces.  Any other grid, of largest weight W, takes pieces of
+    about W / jobs indices: the parent holds about `jobs` pieces' reports
+    at once, so about W indices' worth.
+    """
+    runs = [list(run) for _, run in
+            groupby(tasks, lambda task: task[1].get("k", task))]
+    count = jobs
+    if not any("p" in kwargs for _, kwargs in tasks):
+        count = jobs * len(runs) // max(
+            (kwargs["k"].weight for _, kwargs in tasks if "k" in kwargs),
+            default=1)
+    pieces = [[]]
+    for run in runs:
+        if len(pieces[-1]) * count >= len(tasks):
+            pieces.append([])
+        pieces[-1] += run
+    return pieces
 
 
 def _reports(tasks, jobs):
-    """The report of each task, in order, as soon as it is ready.
-
-    Under a pool the tasks travel in chunks, so reports arrive chunk by
-    chunk.
-    """
+    """The report of each task, in order, as soon as it is ready; under a
+    pool, each worker sweeps a piece and its reports arrive together."""
     if jobs <= 1:
-        yield from map(_call, tasks)
+        yield from _sweeps(tasks)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Imported here: only a pool needs it, and it slows every start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pieces = _pieces(tasks, jobs)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
         try:
-            # About eight chunks per worker: few round trips, even load.
-            yield from pool.map(_call, tasks,
-                                chunksize=max(1, len(tasks) // (8 * jobs)))
+            for reports in pool.map(_piece_reports, pieces):
+                yield from reports
         finally:
             # Closed early (a check raised, or the reader went away): drop
-            # the checks still queued instead of running them unread.
+            # the pieces still queued instead of running them unread.
             pool.shutdown(cancel_futures=True)
 
 

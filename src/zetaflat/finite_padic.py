@@ -12,16 +12,14 @@ records the smallest prime P0 from which the check passes through the top
 of the range, and the pinned thresholds live in a committed fixtures file
 (see `load_thresholds`).  Thresholds are measured, never guessed.
 
-Every strict residue comes from a table per (prime, exponent) pair,
-{index: zeta_trunc(index, p) mod p^n}, filled by one depth-first walk
-over a trie of index prefixes (`_walk`).  A strict harmonic chain grows
-one position at a time: the layer of the child k + (e,) is the layer of
-k, prefix-summed through v - 1 and multiplied by 1/v^e mod p^n on the
-band [1, p - 1], and a node's residue is the sum of its layer.  Points
-no tuple reaches stay 0, and so does every layer of a chain deeper than
-p - 1.  A check first reserves the weight it reads up to, so the pair's
-table covers every index of that weight at once; the CLI passes the
-sweep's largest weight, so a sweep walks each pair's trie once.
+Strict residues mod p^n come from walks of a trie of index prefixes
+(`_walk`).  A strict harmonic chain grows one position at a time: the
+layer of the child k + (e,) is the layer of k, prefix-summed through
+v - 1 and multiplied by 1/v^e mod p^n on the band [1, p - 1], and a
+node's residue is the sum of its layer.  Points no tuple reaches stay 0,
+and so does every layer of a chain deeper than p - 1.  A single check
+walks the branch of each index it reads; `residue_sweep` walks each
+(prime, exponent) pair's trie once for a whole run of checks.
 """
 
 from __future__ import annotations
@@ -104,11 +102,16 @@ def primes_in(lo, hi) -> list:
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
-def _check_prime_exponent(p, n):
+def _checked(k, p, n):
+    """k as an Index, once p is a prime, n a positive integer and k nonempty."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"exponent must be a positive integer, got {n!r}")
+    k = as_index(k)
+    if not k:
+        raise ValueError("need a nonempty index")
+    return k
 
 
 def _walk(p, n, nodes):
@@ -135,53 +138,18 @@ def _walk(p, n, nodes):
     return values
 
 
-class _Table:
-    """One pair's residues: every index of weight <= `weight`, plus the
-    branches of single lookups beyond it."""
-
-    __slots__ = ("weight", "values")
-
-    def __init__(self):
-        self.weight = 0
-        self.values = {}
-
-
-@lru_cache(maxsize=256)
-def _table(p, n):
-    # The cache holds the table of every pair a sweep under the default
-    # caps can reach (46 primes, exponents up to 3).
-    return _Table()
-
-
-def _reserve(p, n, weight):
-    """Walk the pair's whole trie up to `weight`, unless it is covered."""
-    table = _table(p, n)
-    if table.weight < weight:
-        table.values.update(_walk(p, n, trie_order(weight)))
-        table.weight = weight
-
-
-def _reach(k, n, top_weight):
-    # The lifted checks read indices up to n - 1 past the weight of k.
-    return max(k.weight, top_weight or 0) + n - 1
-
-
 @lru_cache(maxsize=1 << 14)
 def _zeta_residue(k, p, n):
-    """zeta_trunc(k, p) mod p^n as an int, read from the pair's table.
-
-    An index beyond the reserved weight walks its own branch of the trie.
-    """
-    if not k:
-        raise ValueError("need a nonempty index")
-    values = _table(p, n).values
-    if k not in values:
-        values.update(_walk(p, n, [k[:d] for d in range(1, len(k) + 1)]))
-    return values[k]
+    """zeta_trunc(k, p) mod p^n as an int, from a walk of k's own branch."""
+    return _walk(p, n, [k[:d] for d in range(1, len(k) + 1)])[k]
 
 
-def _star_residue(k, p, n):
-    return sum(_zeta_residue(tuple(l), p, n) for l in coarsenings(k))
+def _lookup(p, n):
+    return lambda m: _zeta_residue(m, p, n)
+
+
+def _star(zeta, k):
+    return sum(zeta(tuple(l)) for l in coarsenings(k))
 
 
 def zeta_mod(k, p, n=1) -> Residue:
@@ -190,50 +158,46 @@ def zeta_mod(k, p, n=1) -> Residue:
     Every denominator lies in [1, p-1], so reduction never meets a
     non-unit.
     """
-    k = as_index(k)
-    _check_prime_exponent(p, n)
-    return Residue(_zeta_residue(tuple(k), p, n), p ** n)
+    return Residue(_zeta_residue(tuple(_checked(k, p, n)), p, n), p ** n)
 
 
 def zeta_star_mod(k, p, n=1) -> Residue:
     """The weak-inequality variant mod p^n, as a sum over coarsenings."""
-    k = as_index(k)
-    _check_prime_exponent(p, n)
-    return Residue(_star_residue(k, p, n), p ** n)
+    return Residue(_star(_lookup(p, n), _checked(k, p, n)), p ** n)
 
 
-def hoffman_duality_check(k, p, top_weight=None):
-    """Check that the weak sum at k and at its Hoffman dual cancel mod p.
+# Each residue check has a body that reads residues through `zeta`: one
+# branch at a time for a single check, a table per pair in `residue_sweep`.
 
-    `top_weight`, the largest weight of a sweep, lets the first check at
-    p fill the table every later one reads.
-    """
-    started = time.perf_counter()
-    k = as_index(k)
-    _check_prime_exponent(p, 1)
-    _reserve(p, 1, _reach(k, 1, top_weight))
-    lhs = Residue(_star_residue(k, p, 1), p)
-    rhs = Residue(-_star_residue(hoffman_dual(k), p, 1), p)
+def _hoffman_duality(k, p, n, zeta, started):
+    k = _checked(k, p, 1)
+    lhs = Residue(_star(zeta, k), p)
+    rhs = Residue(-_star(zeta, hoffman_dual(k)), p)
     return make_report(
         "hoffman-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
 
-def antipode_duality_check(k, p, top_weight=None):
-    """Check the refinement-sum reflection of the strict sum mod p.
+def hoffman_duality_check(k, p):
+    """Check that the weak sum at k and at its Hoffman dual cancel mod p."""
+    return _hoffman_duality(k, p, 1, _lookup(p, 1), time.perf_counter())
 
-    The strict sum at k equals (-1)^depth times the sum of the strict
-    sums over all refinements of k.  `top_weight` as for
-    `hoffman_duality_check`.
-    """
-    started = time.perf_counter()
-    k = as_index(k)
-    _check_prime_exponent(p, 1)
-    _reserve(p, 1, _reach(k, 1, top_weight))
-    lhs = Residue(_zeta_residue(tuple(k), p, 1), p)
-    total = sum(_zeta_residue(tuple(l), p, 1) for l in refinements(k))
+
+def _antipode_duality(k, p, n, zeta, started):
+    k = _checked(k, p, 1)
+    lhs = Residue(zeta(tuple(k)), p)
+    total = sum(zeta(tuple(l)) for l in refinements(k))
     rhs = Residue(-total if k.depth % 2 else total, p)
     return make_report(
         "antipode-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
+
+
+def antipode_duality_check(k, p):
+    """Check the refinement-sum reflection of the strict sum mod p.
+
+    The strict sum at k equals (-1)^depth times the sum of the strict
+    sums over all refinements of k.
+    """
+    return _antipode_duality(k, p, 1, _lookup(p, 1), time.perf_counter())
 
 
 def flat_mod_identity_check(k, p):
@@ -244,8 +208,7 @@ def flat_mod_identity_check(k, p):
     harmonic sum over the same tuple set.
     """
     started = time.perf_counter()
-    k = as_index(k)
-    _check_prime_exponent(p, 1)
+    k = _checked(k, p, 1)
     lhs = eval_dp_mod(flat_chain(k), p, p)
     support = eval_dp_mod(flat_support_chain(k), p, p)
     rhs = -support if k.depth % 2 else support
@@ -253,33 +216,42 @@ def flat_mod_identity_check(k, p):
         "flat-mod", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
 
-@lru_cache(maxsize=1)
-def _weak_fronts(k, top):
-    # All factors are harmonic, so entries at v <= N are those of fence N.
-    return (endpoint_values(hoffman_weak_chain(k), top),
-            endpoint_values(hoffman_weak_chain(hoffman_dual(k)), top))
-
-
-def hoffman_identity_check(k, upper, top=None):
+def hoffman_identity_check(k, upper):
     """Check the binomial identity between a weak chain and its dual.
 
     The weak chain for k reaching the fence equals the weak chain for the
     Hoffman dual l with an alternating binomial attached to the final
     variable: sum over 1 <= m_1 <= ... <= m_s <= N of
     (-1)^(m_s - 1) binom(N, m_s) / (m_1^l_1 ... m_s^l_s).  Exact in Q.
-    Both sides read cached dynamic programs at fence max(N, top).
+    Both sides read the final layer of a dynamic program at fence N.
     """
-    started = time.perf_counter()
-    k = as_index(k)
-    if upper < 1:
-        raise ValueError("the fence must be at least 1")
-    (front, scale), (dual_front, dual_scale) = _weak_fronts(k, max(upper, top or 0))
-    lhs = Fraction(sum(front[:upper + 1]), scale)
-    rhs = Fraction(sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
-                       for v in range(1, upper + 1)), dual_scale)
-    return make_report(
-        "hoffman-identity", {"k": format_index(k), "N": upper},
-        lhs, rhs, started)
+    task = (hoffman_identity_check, {"k": k, "upper": upper})
+    return next(hoffman_identity_sweep([task]))
+
+
+def hoffman_identity_sweep(tasks):
+    """`hoffman_identity_check` for each (check, kwargs) task, in order;
+    each index reads its fences from one pair of dynamic programs at the
+    top fence of the tasks."""
+    top = max(kwargs["upper"] for _, kwargs in tasks)
+    fronts_of = None
+    for _, kwargs in tasks:
+        started = time.perf_counter()
+        k, upper = as_index(kwargs["k"]), kwargs["upper"]
+        if upper < 1:
+            raise ValueError("the fence must be at least 1")
+        if k != fronts_of:
+            # All factors are harmonic, so entries at v <= N are those of
+            # fence N.
+            fronts_of = k
+            front, scale = endpoint_values(hoffman_weak_chain(k), top)
+            dual_front, dual_scale = endpoint_values(
+                hoffman_weak_chain(hoffman_dual(k)), top)
+        lhs = Fraction(sum(front[:upper + 1]), scale)
+        rhs = Fraction(sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
+                           for v in range(1, upper + 1)), dual_scale)
+        yield make_report("hoffman-identity", {"k": format_index(k), "N": upper},
+                          lhs, rhs, started)
 
 
 @lru_cache(maxsize=16)
@@ -291,47 +263,33 @@ def _lattice(k, n):
                  for m in squeeze_lattice(oplus(shift, k), oslash(shift, k)))
 
 
-def padic_duality_check(k, p, n=1, top_weight=None):
-    """Check the lifted reflection of the strict sum mod p^n.
-
-    The strict sum at k is congruent mod p^n to (-1)^depth times
-    sum over 0 <= i < n of p^i times the strict sums at all indices m
-    squeezed between l (+) k and l (/) k, for every non-negative shift
-    vector l of total i.  At n=1 only i=0 survives and the squeeze
-    degenerates to the plain refinement sum.  `top_weight` as for
-    `hoffman_duality_check`.
-    """
-    started = time.perf_counter()
-    k = as_index(k)
-    if not k:
-        raise ValueError("need a nonempty index")
-    _check_prime_exponent(p, n)
-    _reserve(p, n, _reach(k, n, top_weight))
-    lhs = Residue(_zeta_residue(tuple(k), p, n), p ** n)
-    total = sum(_zeta_residue(m, p, n) * p ** i for i, m in _lattice(k, n))
+def _padic_duality(k, p, n, zeta, started):
+    k = _checked(k, p, n)
+    lhs = Residue(zeta(tuple(k)), p ** n)
+    total = sum(zeta(m) * p ** i for i, m in _lattice(k, n))
     rhs = Residue(-total if k.depth % 2 else total, p ** n)
     return make_report(
         "padic-duality",
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
 
 
-def seki_lifting_check(k, p, n=1, top_weight=None):
-    """Check the lifted cancellation of weak sums with appended ones.
+def padic_duality_check(k, p, n=1):
+    """Check the lifted reflection of the strict sum mod p^n.
 
-    Both truncated series sum p^i times the weak sum at the index with i
-    ones appended, i < n; the check passes when the series for k and for
-    its Hoffman dual cancel mod p^n.  At n=1 this is the plain weak-sum
-    cancellation mod p.  `top_weight` as for `hoffman_duality_check`.
+    The strict sum at k is congruent mod p^n to (-1)^depth times
+    sum over 0 <= i < n of p^i times the strict sums at all indices m
+    squeezed between l (+) k and l (/) k, for every non-negative shift
+    vector l of total i.  At n=1 only i=0 survives and the squeeze
+    degenerates to the plain refinement sum.
     """
-    started = time.perf_counter()
-    k = as_index(k)
-    if not k:
-        raise ValueError("need a nonempty index")
-    _check_prime_exponent(p, n)
-    _reserve(p, n, _reach(k, n, top_weight))
+    return _padic_duality(k, p, n, _lookup(p, n), time.perf_counter())
+
+
+def _seki_lifting(k, p, n, zeta, started):
+    k = _checked(k, p, n)
 
     def series(base):
-        return sum(p ** i * _star_residue(Index(base + (1,) * i), p, n)
+        return sum(p ** i * _star(zeta, Index(base + (1,) * i))
                    for i in range(n))
 
     lhs = Residue(series(tuple(k)), p ** n)
@@ -339,6 +297,44 @@ def seki_lifting_check(k, p, n=1, top_weight=None):
     return make_report(
         "seki-lifting",
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
+
+
+def seki_lifting_check(k, p, n=1):
+    """Check the lifted cancellation of weak sums with appended ones.
+
+    Both truncated series sum p^i times the weak sum at the index with i
+    ones appended, i < n; the check passes when the series for k and for
+    its Hoffman dual cancel mod p^n.  At n=1 this is the plain weak-sum
+    cancellation mod p.
+    """
+    return _seki_lifting(k, p, n, _lookup(p, n), time.perf_counter())
+
+
+_BODIES = {"hoffman_duality_check": _hoffman_duality,
+           "antipode_duality_check": _antipode_duality,
+           "padic_duality_check": _padic_duality,
+           "seki_lifting_check": _seki_lifting}
+
+
+def residue_sweep(tasks):
+    """The report of each (check, kwargs) task of the four residue checks,
+    in order; a task of any other function is called as it is.  Each pair
+    (p, n) walks its trie once, at its first task, up to weight w + n - 1,
+    w the largest weight of the tasks: all that the lifted checks read.
+    """
+    reach = max(as_index(kwargs["k"]).weight for _, kwargs in tasks) - 1
+    tables = {}
+    for check, kwargs in tasks:
+        # By name, so that a wrapped check (as a tracer wraps it) is found.
+        body = _BODIES.get(check.__name__)
+        if body is None:
+            yield check(**kwargs)
+            continue
+        started = time.perf_counter()
+        p, n = kwargs["p"], kwargs.get("n", 1)
+        if (p, n) not in tables:
+            tables[p, n] = _walk(p, n, trie_order(reach + n))
+        yield body(kwargs["k"], p, n, tables[p, n].__getitem__, started)
 
 
 def min_passing_prime(check, k, n, lo=3, hi=199):

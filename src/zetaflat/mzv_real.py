@@ -33,7 +33,7 @@ from .chainsum import (
     zeta_chain,
     zeta_star_chain,
 )
-from .index_algebra import Index, as_index, dual, trie_order
+from .index_algebra import Index, as_index, dual, format_index
 from .reports import decimal_str, make_report
 
 
@@ -130,9 +130,6 @@ def _branch(k):
     return [k[:i] + (j,) for i, part in enumerate(k) for j in range(1, part + 1)]
 
 
-# Per fence, the values of a whole-trie walk not read yet (see zeta_flat).
-_flat_tables = {}
-
 # A sweep keeps a table at every fence from its first index to its last,
 # and at top weight W a table at fence N holds about 2^W * W * 1.3 N bits.
 # Tables are kept only at fences with 2^W * W * N^2 <= FLAT_TABLE_BITS:
@@ -141,20 +138,13 @@ _flat_tables = {}
 FLAT_TABLE_BITS = 1 << 27
 
 
-def zeta_flat(k, upper, method="dp", *, top_weight=None) -> Fraction:
+def zeta_flat(k, upper, method="dp") -> Fraction:
     """Reflected block form of a nonempty index; equals zeta_trunc.
 
-    The dynamic-programming path reads k's value from a walk of the
-    weight trie at the fence (`_flat_walk`).  With `top_weight`, the
-    first read at a fence walks every index of weight up to it (or up to
-    the weight of k, if larger) and keeps their values in the fence's
-    table, if the fence is low enough for FLAT_TABLE_BITS.  A read takes
-    its value out, and an emptied table is dropped, so a sweep that reads
-    each index once at every fence, as `verify main` does with its
-    --max-weight, walks each such fence once and ends with no tables.  A
-    value not in a table walks k's own branch, one step per unit of
-    weight, which costs what one dynamic program over flat_chain(k)
-    costs.
+    The dynamic-programming path walks k's branch of the weight trie at
+    the fence (`_flat_walk`), one step per unit of weight, which costs
+    what one dynamic program over flat_chain(k) costs.  `main_sweep`
+    shares one walk per fence among many indices.
     """
     if method != "dp":
         return _eval(flat_chain(k), upper, method)
@@ -163,19 +153,46 @@ def zeta_flat(k, upper, method="dp", *, top_weight=None) -> Fraction:
         raise ValueError("need a nonempty index")
     if 0 <= upper <= 1:
         return Fraction(0)  # the first variable needs 1 <= n <= N - 1
-    k, weight = tuple(k), k.weight
-    table = _flat_tables.get(upper)
-    if table is None and top_weight is not None:
-        top = max(top_weight, weight)
-        if 2 ** top * top * upper ** 2 <= FLAT_TABLE_BITS:
-            table = _flat_tables[upper] = _flat_walk(upper, trie_order(top))
-    if table is not None and k in table:
-        value = table.pop(k)
-        if not table:
-            del _flat_tables[upper]
-    else:
-        value = _flat_walk(upper, _branch(k))[k]
-    return Fraction(value, lcm_upto(upper) ** weight)
+    k = tuple(k)
+    return Fraction(_flat_walk(upper, _branch(k))[k],
+                    lcm_upto(upper) ** sum(k))
+
+
+def main_identity_check(k, upper, method="dp"):
+    """Check the paper's identity zeta_trunc(k, N) == zeta_flat(k, N)."""
+    started = time.perf_counter()
+    return make_report("main", {"k": format_index(k), "N": upper},
+                       zeta_trunc(k, upper, method),
+                       zeta_flat(k, upper, method), started)
+
+
+def main_sweep(tasks):
+    """`main_identity_check` for each (check, kwargs) task, in order.
+
+    Each index reads its strict sums from one `zeta_trunc_column` up to
+    the top fence of the tasks.  Each fence walks the union of the tasks'
+    branches once, at its first read, and each read takes its value out
+    of that walk, unless the fence is past FLAT_TABLE_BITS for the tasks'
+    largest weight; then each read walks its own branch.
+    """
+    top = max(kwargs["upper"] for _, kwargs in tasks)
+    ks = {tuple(kwargs["k"]) for _, kwargs in tasks}
+    weight = max(map(sum, ks))
+    nodes = sorted({node for k in ks for node in _branch(k)})
+    column_of, tables = None, {}
+    for _, kwargs in tasks:
+        started = time.perf_counter()
+        k, upper, method = as_index(kwargs["k"]), kwargs["upper"], kwargs["method"]
+        if k != column_of:
+            column_of, column = k, zeta_trunc_column(k, range(top + 1), method)
+        if method == "dp" and upper > 1 and upper not in tables:
+            fits = 2 ** weight * weight * upper ** 2 <= FLAT_TABLE_BITS
+            tables[upper] = _flat_walk(upper, nodes) if fits else {}
+        value = tables.get(upper, {}).pop(tuple(k), None)
+        flat = (zeta_flat(k, upper, method) if value is None
+                else Fraction(value, lcm_upto(upper) ** k.weight))
+        yield make_report("main", {"k": format_index(k), "N": upper},
+                          column[upper], flat, started)
 
 
 def riemann_sum(k, upper, method="dp") -> Fraction:

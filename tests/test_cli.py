@@ -15,7 +15,11 @@ from zetaflat.finite_padic import (
     primes_in,
 )
 from zetaflat.index_algebra import Index, indices_up_to_weight
-from zetaflat.mzv_real import log2_discretization_check, zeta_trunc
+from zetaflat.mzv_real import (
+    log2_discretization_check,
+    main_identity_check,
+    zeta_trunc,
+)
 from zetaflat.reports import decimal_str
 
 
@@ -308,21 +312,27 @@ def test_verify_csv_needs_single_index(capsys):
 
 
 def test_verify_jobs_matches_sequential(capsys):
-    # Chunks (29 of the 465 main tasks, 8 of the 135 of the later grids)
-    # start inside an index, so a worker rebuilds its cached fence column.
+    # Each worker sweeps pieces of the grid cut where the index changes:
+    # 11 pieces of main at --max-weight 5 under --jobs 2 (16 under
+    # --jobs 3), each walking again the ancestors its indices share with
+    # other pieces, and one piece per worker of a residue grid, each
+    # walking every (prime, exponent) trie again.
     for argv, jobs in [
             (["verify", "telescope", "--max-weight", "3", "--max-upper", "4"], "3"),
             (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "2"),
+            (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "3"),
             (["verify", "main", "--max-weight", "4", "--max-upper", "9",
               "--method", "enum"], "2"),
             (["verify", "hoffman-identity", "--max-weight", "4",
               "--max-upper", "9"], "2"),
-            # each worker fills its own residue tables
             (["verify", "padic", "--max-weight", "3", "--primes", "3..31",
               "--n-values", "1,2,3"], "2"),
+            (["verify", "padic", "--max-weight", "3", "--primes", "3..31",
+              "--n-values", "1,2,3"], "3"),
             (["verify", "seki", "--max-weight", "3", "--primes", "3..31",
               "--n-values", "1,3"], "2"),
-            (["verify", "duality-a", "--max-weight", "3"], "2")]:
+            (["verify", "duality-a", "--max-weight", "3"], "2"),
+            (["verify", "antipode", "--max-weight", "3"], "2")]:
         _, seq, _ = run_cli(argv, capsys)
         _, par, _ = run_cli(argv + ["--jobs", jobs], capsys)
         assert seq == par
@@ -397,6 +407,75 @@ def test_verify_prints_each_report_as_it_returns(monkeypatch, capsys):
     code, out, err = run_cli(["verify", "log2"], capsys)
     assert code == 2 and err.startswith("error: ")
     assert out.splitlines() == [log2_discretization_check(upper=3).line()]
+    # inside one sweep's run, too
+    k = Index((1, 2))
+    monkeypatch.setattr(cli, "verify_tasks", lambda args, caps: [
+        (main_identity_check, {"k": k, "upper": 4, "method": "dp"}),
+        (main_identity_check, {"k": k, "upper": 5, "method": "bogus"})])
+    code, out, err = run_cli(["verify", "main"], capsys)
+    assert code == 2 and err == "error: unknown evaluation method 'bogus'\n"
+    assert out.splitlines() == [main_identity_check(k, 4).line()]
+
+
+class RecordingPool:
+    """An in-process stand-in for ProcessPoolExecutor that records the
+    number of workers asked for."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("argv,workers", [
+    (["duality-r", "--index", "3", "--powers", "4..6"], 1),
+    (["padic", "--max-weight", "1", "--primes", "3..13"], 1),
+    (["padic", "--max-weight", "2", "--primes", "3..13"], 3),
+    (["main", "--max-weight", "2", "--max-upper", "3"], 3),
+])
+def test_pool_starts_no_more_workers_than_pieces(argv, workers, monkeypatch,
+                                                 capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    RecordingPool.asked.clear()
+    _, seq, _ = run_cli(["verify"] + argv, capsys)
+    code, par, _ = run_cli(["verify"] + argv + ["--jobs", "8"], capsys)
+    assert code == 0 and par == seq
+    assert RecordingPool.asked == [workers]
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zetaflat.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("hi,fence", [
+    ("13", "8192"),
+    ("4000000", "2^4000000"),
+    ("100000000000", "2^100000000000"),
+])
+def test_duality_r_fence_cap_before_building_the_fence(hi, fence, capsys):
+    code, out, err = run_cli(["verify", "duality-r", f"--powers=0..{hi}"],
+                             capsys)
+    assert code == 3 and out == ""
+    assert err == f"cap exceeded: fence {fence} exceeds cap 4096\n"
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -184,6 +184,8 @@ def run_in_process(argv):
 @example(["verify", "duality-r", "--powers=0..0"])
 @example(["verify", "duality-r", "--index=1,1,2", "--powers=9..12", "--json"])
 @example(["verify", "duality-r", "--index=3", "--powers=1..11", "--csv"])
+# a top fence far past the cap, whose digits would not print
+@example(["verify", "duality-r", "--powers=0..4000000"])
 def test_exit_code_contract(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -22,6 +22,7 @@ from zetaflat.finite_padic import (
     flat_mod_identity_check,
     hoffman_duality_check,
     hoffman_identity_check,
+    hoffman_identity_sweep,
     is_prime,
     load_thresholds,
     min_passing_prime,
@@ -196,15 +197,19 @@ def test_hoffman_identity_against_enumeration():
         if not k:
             continue
         l = tuple(hoffman_dual(k))
-        for n in range(1, 9):
-            lhs = fraction_str(weak_sum(k, n, lambda m: 1))
-            rhs = fraction_str(
-                weak_sum(l, n, lambda m: (-1) ** (m - 1) * comb(n, m)))
-            # both sides read at the fence itself and from the dynamic
-            # programs at a larger one, as a sweep does
-            for top in (None, 8, 11):
-                r = hoffman_identity_check(k, n, top)
-                assert (r.lhs, r.rhs) == (lhs, rhs), (k, n, top)
+        want = [(fraction_str(weak_sum(k, n, lambda m: 1)),
+                 fraction_str(weak_sum(l, n, lambda m: (-1) ** (m - 1)
+                                       * comb(n, m))))
+                for n in range(1, 9)]
+        # both sides read at the fence itself, and from the dynamic
+        # programs at the top fence of a sweep's tasks
+        assert [(r.lhs, r.rhs) for r in
+                (hoffman_identity_check(k, n) for n in range(1, 9))] == want, k
+        for top in (8, 11):
+            tasks = [(hoffman_identity_check, {"k": k, "upper": n})
+                     for n in range(1, top + 1)]
+            reports = list(hoffman_identity_sweep(tasks))[:8]
+            assert [(r.lhs, r.rhs) for r in reports] == want, (k, top)
 
 
 def test_lifted_checks_reduce_to_mod_p():
@@ -311,11 +316,9 @@ def test_check_inputs_are_rendered_strings():
 
 @pytest.fixture
 def cold_tables():
-    """Empty residue tables and lookup cache before and after a test."""
-    finite_padic._table.cache_clear()
+    """An empty lookup cache before and after a test."""
     finite_padic._zeta_residue.cache_clear()
     yield
-    finite_padic._table.cache_clear()
     finite_padic._zeta_residue.cache_clear()
 
 
@@ -339,9 +342,10 @@ def test_residue_tables_match_modular_dp(cold_tables):
 
 @pytest.mark.parametrize("suite", ["padic", "seki", "duality-a", "antipode"])
 def test_sweep_walks_each_pair_once(suite, cold_tables, monkeypatch, capsys):
-    """A sweep passes its largest weight to every check, so the first
-    check at a (prime, exponent) pair walks that pair's whole trie and
-    every later lookup reads it."""
+    """verify hands its grid to one `residue_sweep` call, which walks
+    each (prime, exponent) pair's whole trie once, at the pair's first
+    check, and reads every residue from those walks, not from the lookup
+    cache of single checks."""
     from zetaflat.cli import main
 
     walks = []
@@ -356,24 +360,27 @@ def test_sweep_walks_each_pair_once(suite, cold_tables, monkeypatch, capsys):
              for n in ((1, 2, 3) if lifted else (1,))]
     assert sorted(walks) == [(p, n, 2 ** (3 + n - 1) - 1) for p, n in pairs]
     info = finite_padic._zeta_residue.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert info.hits > info.misses > 0
+    assert info.hits == info.misses == info.currsize == 0
 
 
 def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
-    """Checks called one by one, as the pinning tool does, rebuild a
-    pair's table at most once per new weight; a single heavy lookup walks
-    its own branch, not every index of its weight."""
+    """Checks called one by one, as the pinning tool does, walk the branch
+    of each index they read, once per (index, prime, exponent), and keep
+    no table; a single heavy lookup walks only its own branch."""
     walks = []
     real = finite_padic._walk
     monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
-                        walks.append((p, n)) or real(p, n, nodes))
+                        walks.append((p, n, tuple(nodes))) or real(p, n, nodes))
     for k in indices_up_to_weight(4):
         for p in (5, 7):
             assert padic_duality_check(k, p, 2).passed
-    assert sorted(walks) == sorted((p, 2) for p in (5, 7) for _ in range(4))
+    assert len(set(walks)) == len(walks)
+    for p, n, nodes in walks:
+        m = nodes[-1]
+        assert (p, n) in ((5, 2), (7, 2)) and sum(m) <= 5
+        assert nodes == tuple(m[:d] for d in range(1, len(m) + 1))
+    assert finite_padic._zeta_residue.cache_info().currsize == len(walks)
     walks.clear()
     k = (1,) * 9 + (2,) * 6
     assert zeta_mod(k, 31, 2).value == eval_dp_mod(zeta_chain(k), 31, 31 ** 2).value
-    assert walks == [(31, 2)]
-    assert len(finite_padic._table(31, 2).values) == len(k)
+    assert walks == [(31, 2, tuple(k[:d] for d in range(1, len(k) + 1)))]

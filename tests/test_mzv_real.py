@@ -32,13 +32,15 @@ from zetaflat.index_algebra import (
     indices_up_to_weight,
     trie_order,
 )
-from zetaflat.reports import decimal_str
+from zetaflat.reports import decimal_str, fraction_str
 from zetaflat.mzv_real import (
     TREE_GAP,
     ConvergenceRow,
     discrepancy,
     duality_convergence,
     log2_discretization_check,
+    main_identity_check,
+    main_sweep,
     riemann_sum,
     zeta_flat,
     zeta_star_trunc,
@@ -330,65 +332,61 @@ def test_zeta_trunc_single_fence_dispatch(upper, monkeypatch):
 
 @pytest.fixture
 def flat_walks(monkeypatch):
-    """No per-fence zeta_flat tables before and after a test; the list
-    of (fence, nodes) of every trie walk made during it."""
+    """The list of (fence, nodes) of every trie walk made during a test."""
     walks = []
     real = mzv_real._flat_walk
     monkeypatch.setattr(mzv_real, "_flat_walk", lambda upper, nodes:
                         walks.append((upper, list(nodes))) or real(upper, nodes))
-    mzv_real._flat_tables.clear()
-    yield walks
-    mzv_real._flat_tables.clear()
+    return walks
 
 
 def test_flat_walk_matches_oracles(flat_walks):
-    """Every index of weight <= 6 at fences 0..16: read from the fence's
-    table it equals enumeration, and read again once released (its own
-    branch) it equals the dynamic program over its block form."""
-    indices = trie_order(6)
+    """Every index of weight <= 6 at fences 0..16: read by `main_sweep`
+    from one walk of the whole trie per fence it equals enumeration, and
+    read alone (its own branch) it equals the dynamic program over its
+    block form."""
+    tasks = [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
+             for k in indices_up_to_weight(6) for n in range(17)]
+    for (_, kwargs), report in zip(tasks, main_sweep(tasks), strict=True):
+        k, n = kwargs["k"], kwargs["upper"]
+        assert report.rhs == fraction_str(eval_enum(flat_chain(k), n)), (k, n)
+    assert [n for n, nodes in flat_walks] == list(range(2, 17))
+    assert all(len(nodes) == 63 for _, nodes in flat_walks)
     for n in range(17):
-        values = {}
-        for k in indices:
-            values[k] = zeta_flat(k, n, top_weight=6)
-            assert values[k] == eval_enum(flat_chain(k), n), (k, n)
-        assert n not in mzv_real._flat_tables
-        for k in indices:
-            again = zeta_flat(k, n)
-            assert again == values[k] == eval_dp(flat_chain(k), n), (k, n)
-    assert mzv_real._flat_tables == {}
-    assert [n for n, nodes in flat_walks if len(nodes) == 63] == list(range(2, 17))
+        for k in trie_order(6):
+            assert zeta_flat(k, n) == eval_dp(flat_chain(k), n), (k, n)
 
 
 def test_flat_branch_walks_weight_nodes(flat_walks):
-    """A read without a top weight walks k's own branch, one node per
-    unit of weight, and keeps no table."""
+    """zeta_flat walks k's own branch, one node per unit of weight, and
+    keeps nothing: a second read walks it again."""
     k = (2, 1, 3)
+    branch = (12, [(1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3)])
     assert zeta_flat(k, 12) == eval_dp(flat_chain(k), 12)
-    assert flat_walks == [
-        (12, [(1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3)])]
-    assert mzv_real._flat_tables == {}
+    assert flat_walks == [branch]
+    assert zeta_flat(k, 12) == eval_dp(flat_chain(k), 12)
+    assert flat_walks == [branch, branch]
     with pytest.raises(ValueError):
         zeta_flat((), 5)
     with pytest.raises(ValueError):
-        zeta_flat((1, 2), -1, top_weight=3)
+        zeta_flat((1, 2), -1)
 
 
 def test_sweep_walks_each_fence_once(flat_walks, capsys):
-    """verify main passes its largest weight, so the first check at a
-    fence walks the whole trie there and every later check reads it;
-    fences 0 and 1 hold no tuple and walk nothing."""
+    """verify main hands its grid to one `main_sweep` call, which walks
+    the whole trie at each fence once, at its first read, and every later
+    check reads that walk; fences 0 and 1 hold no tuple and walk nothing."""
     from zetaflat.cli import main
 
     assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9"]) == 0
     capsys.readouterr()
     assert sorted((n, len(nodes)) for n, nodes in flat_walks) == [
         (n, 15) for n in range(2, 10)]
-    assert mzv_real._flat_tables == {}
 
 
 def test_sweep_past_the_table_budget(flat_walks, monkeypatch, capsys):
     """Above the fences FLAT_TABLE_BITS allows, each index walks its own
-    branch; the sweep still passes and ends with no tables."""
+    branch, and the sweep still passes."""
     from zetaflat.cli import main
 
     # 2^3 * 3 * N^2 <= 100 only at N = 2
@@ -399,4 +397,3 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch, capsys):
     assert walks[0] == (2, 7)
     assert sorted(walks[1:]) == sorted((n, sum(k)) for k in trie_order(3)
                                        for n in range(3, 7))
-    assert mzv_real._flat_tables == {}
