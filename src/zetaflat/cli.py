@@ -313,8 +313,6 @@ def verify_tasks(args, caps):
     if suite in ("main", "telescope", "hoffman-identity"):
         caps.check_upper(args.max_upper)
         for k in indices_up_to_weight(args.max_weight):
-            if not k:
-                continue
             for n in range(1, args.max_upper + 1):
                 if suite == "main":
                     tasks.append((main_identity_check,
@@ -356,8 +354,6 @@ def verify_tasks(args, caps):
                  else antipode_duality_check)
         primes = primes_in(max(lo, 3), hi)
         for k in indices_up_to_weight(args.max_weight):
-            if not k:
-                continue
             for p in primes:
                 tasks.append((check, {"k": k, "p": p}))
     elif suite in ("padic", "seki"):
@@ -374,8 +370,6 @@ def verify_tasks(args, caps):
         # One prime list for the grid; each exponent's floor filters it.
         primes = primes_in(lo, hi)
         for k in indices_up_to_weight(args.max_weight):
-            if not k:
-                continue
             for n in n_values:
                 if n == 1:
                     floor = max(lo, 3)
@@ -402,6 +396,7 @@ def _sweeps(tasks):
     """The report of each task, in order: each run of consecutive tasks
     that one sweep serves goes to it in one call, which shares its tables
     across the run; any other task is called alone."""
+    # Built at each call from the module's names, as a tracer rebinds them.
     sweeps = dict.fromkeys((hoffman_duality_check, antipode_duality_check,
                             padic_duality_check, seki_lifting_check,
                             _missing_fixture_report), residue_sweep)
@@ -420,9 +415,9 @@ def _piece_reports(piece):
 
 def _pieces(tasks, jobs):
     """`tasks` in contiguous pieces for `jobs` workers, cut only where the
-    index changes (a task without one stands alone).  A grid over primes
-    walks every (prime, exponent) trie again in each piece, so it takes
-    `jobs` pieces.  Any other grid, of largest weight W, takes pieces of
+    index changes (a task without one stands alone).  Each piece of a
+    grid over primes walks every (prime, exponent) trie again, so such a
+    grid takes `jobs` pieces.  Any other grid, of largest weight W, takes pieces of
     about W / jobs indices: the parent holds about `jobs` pieces' reports
     at once, so about W indices' worth.
     """
