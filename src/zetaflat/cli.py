@@ -231,18 +231,10 @@ def _telescope_report(k, upper):
     trace = telescope(k, upper)
     # The end stages are zeta_trunc(k, N+1) and zeta_flat(k, N+1) by the
     # boundary convention of connected_sum.
-    first = trace.stages[0].value
-    last = trace.stages[-1].value
-    passed = trace.all_equal
-    return VerificationReport(
-        check_id="telescope",
-        inputs={"k": format_index(k), "N": str(upper)},
-        lhs=fraction_str(first),
-        rhs=fraction_str(last) if passed else "stages diverge",
-        passed=passed,
-        elapsed=time.perf_counter() - started,
-        notes={"stages": len(trace.stages)},
-    )
+    last = trace.stages[-1].value if trace.all_equal else "stages diverge"
+    return make_report("telescope", {"k": format_index(k), "N": upper},
+                       trace.stages[0].value, last, started,
+                       notes={"stages": len(trace.stages)})
 
 
 def _transport_sweep_report(which, upper):
@@ -292,14 +284,9 @@ def _convergence_report(k, lo, hi, rows, started):
 
 
 def _missing_fixture_report(check_id, k, n):
-    return VerificationReport(
-        check_id=check_id,
-        inputs={"k": format_index(k), "n": str(n)},
-        lhs="no pinned threshold",
-        rhs="fixtures record",
-        passed=False,
-        elapsed=0.0,
-    )
+    return make_report(check_id, {"k": format_index(k), "n": n},
+                       "no pinned threshold", "fixtures record",
+                       time.perf_counter())
 
 
 def verify_tasks(args, caps):
@@ -347,26 +334,23 @@ def verify_tasks(args, caps):
                     f"depth {depth} for index {format_index(k)}, so duality-r "
                     f"has nothing to compare")
             tasks.append((_duality_r_report, {"k": k, "lo": lo, "hi": hi}))
-    elif suite in ("duality-a", "antipode"):
+    elif suite in ("duality-a", "antipode", "padic", "seki"):
         lo, hi = parse_range(args.primes)
         caps.check_prime(hi)
-        check = (hoffman_duality_check if suite == "duality-a"
-                 else antipode_duality_check)
-        primes = primes_in(max(lo, 3), hi)
-        for k in indices_up_to_weight(args.max_weight):
-            for p in primes:
-                tasks.append((check, {"k": k, "p": p}))
-    elif suite in ("padic", "seki"):
-        lo, hi = parse_range(args.primes)
-        caps.check_prime(hi)
-        n_values = parse_exponents(args.n_values)
-        check = padic_duality_check if suite == "padic" else seki_lifting_check
-        fixtures = None
-        for n in n_values:
-            caps.check_exponent(n)
-            if n >= 2 and fixtures is None:
-                fixtures = load_thresholds(
-                    PADIC_FIXTURES if suite == "padic" else SEKI_FIXTURES)
+        check = {"duality-a": hoffman_duality_check,
+                 "antipode": antipode_duality_check,
+                 "padic": padic_duality_check,
+                 "seki": seki_lifting_check}[suite]
+        # duality-a and antipode are the unlifted statements, exponent 1.
+        lifted = suite in ("padic", "seki")
+        n_values, fixtures = [1], None
+        if lifted:
+            n_values = parse_exponents(args.n_values)
+            for n in n_values:
+                caps.check_exponent(n)
+                if n >= 2 and fixtures is None:
+                    fixtures = load_thresholds(
+                        PADIC_FIXTURES if suite == "padic" else SEKI_FIXTURES)
         # One prime list for the grid; each exponent's floor filters it.
         primes = primes_in(lo, hi)
         for k in indices_up_to_weight(args.max_weight):
@@ -384,7 +368,8 @@ def verify_tasks(args, caps):
                         continue
                     floor = max(lo, pinned)
                 for p in (q for q in primes if q >= floor):
-                    tasks.append((check, {"k": k, "p": p, "n": n}))
+                    tasks.append((check, {"k": k, "p": p, "n": n} if lifted
+                                  else {"k": k, "p": p}))
     elif suite == "log2":
         caps.check_upper(args.max_upper)
         for n in range(1, args.max_upper + 1):

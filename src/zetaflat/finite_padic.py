@@ -17,9 +17,11 @@ Strict residues mod p^n come from walks of a trie of index prefixes
 layer of the child k + (e,) is the layer of k, prefix-summed through
 v - 1 and multiplied by 1/v^e mod p^n on the band [1, p - 1], and a
 node's residue is the sum of its layer.  Points no tuple reaches stay 0,
-and so does every layer of a chain deeper than p - 1.  A single check
-walks the branch of each index it reads; `residue_sweep` walks each
-(prime, exponent) pair's trie once for a whole run of checks.
+and so does every layer of a chain deeper than p - 1.  A check reads its
+residues through its `zeta` keyword, zeta(m, p, n) = zeta_trunc(m, p)
+mod p^n: by default a lookup that walks the branch of each index it
+reads, and in `residue_sweep` a lookup into one walk of each (prime,
+exponent) pair's trie for a whole run of checks.
 """
 
 from __future__ import annotations
@@ -144,12 +146,8 @@ def _zeta_residue(k, p, n):
     return _walk(p, n, [k[:d] for d in range(1, len(k) + 1)])[k]
 
 
-def _lookup(p, n):
-    return lambda m: _zeta_residue(m, p, n)
-
-
-def _star(zeta, k):
-    return sum(zeta(tuple(l)) for l in coarsenings(k))
+def _star(k, p, n, *, zeta=_zeta_residue):
+    return sum(zeta(tuple(l), p, n) for l in coarsenings(k))
 
 
 def zeta_mod(k, p, n=1) -> Residue:
@@ -163,41 +161,32 @@ def zeta_mod(k, p, n=1) -> Residue:
 
 def zeta_star_mod(k, p, n=1) -> Residue:
     """The weak-inequality variant mod p^n, as a sum over coarsenings."""
-    return Residue(_star(_lookup(p, n), _checked(k, p, n)), p ** n)
+    return Residue(_star(_checked(k, p, n), p, n), p ** n)
 
 
-# Each residue check has a body that reads residues through `zeta`: one
-# branch at a time for a single check, a table per pair in `residue_sweep`.
-
-def _hoffman_duality(k, p, n, zeta, started):
+def hoffman_duality_check(k, p, *, zeta=_zeta_residue):
+    """Check that the weak sum at k and at its Hoffman dual cancel mod p."""
+    started = time.perf_counter()
     k = _checked(k, p, 1)
-    lhs = Residue(_star(zeta, k), p)
-    rhs = Residue(-_star(zeta, hoffman_dual(k)), p)
+    lhs = Residue(_star(k, p, 1, zeta=zeta), p)
+    rhs = Residue(-_star(hoffman_dual(k), p, 1, zeta=zeta), p)
     return make_report(
         "hoffman-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
 
-def hoffman_duality_check(k, p):
-    """Check that the weak sum at k and at its Hoffman dual cancel mod p."""
-    return _hoffman_duality(k, p, 1, _lookup(p, 1), time.perf_counter())
-
-
-def _antipode_duality(k, p, n, zeta, started):
-    k = _checked(k, p, 1)
-    lhs = Residue(zeta(tuple(k)), p)
-    total = sum(zeta(tuple(l)) for l in refinements(k))
-    rhs = Residue(-total if k.depth % 2 else total, p)
-    return make_report(
-        "antipode-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
-
-
-def antipode_duality_check(k, p):
+def antipode_duality_check(k, p, *, zeta=_zeta_residue):
     """Check the refinement-sum reflection of the strict sum mod p.
 
     The strict sum at k equals (-1)^depth times the sum of the strict
     sums over all refinements of k.
     """
-    return _antipode_duality(k, p, 1, _lookup(p, 1), time.perf_counter())
+    started = time.perf_counter()
+    k = _checked(k, p, 1)
+    lhs = Residue(zeta(tuple(k), p, 1), p)
+    total = sum(zeta(tuple(l), p, 1) for l in refinements(k))
+    rhs = Residue(-total if k.depth % 2 else total, p)
+    return make_report(
+        "antipode-duality", {"k": format_index(k), "p": p}, lhs, rhs, started)
 
 
 def flat_mod_identity_check(k, p):
@@ -263,17 +252,7 @@ def _lattice(k, n):
                  for m in squeeze_lattice(oplus(shift, k), oslash(shift, k)))
 
 
-def _padic_duality(k, p, n, zeta, started):
-    k = _checked(k, p, n)
-    lhs = Residue(zeta(tuple(k)), p ** n)
-    total = sum(zeta(m) * p ** i for i, m in _lattice(k, n))
-    rhs = Residue(-total if k.depth % 2 else total, p ** n)
-    return make_report(
-        "padic-duality",
-        {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
-
-
-def padic_duality_check(k, p, n=1):
+def padic_duality_check(k, p, n=1, *, zeta=_zeta_residue):
     """Check the lifted reflection of the strict sum mod p^n.
 
     The strict sum at k is congruent mod p^n to (-1)^depth times
@@ -282,14 +261,29 @@ def padic_duality_check(k, p, n=1):
     vector l of total i.  At n=1 only i=0 survives and the squeeze
     degenerates to the plain refinement sum.
     """
-    return _padic_duality(k, p, n, _lookup(p, n), time.perf_counter())
+    started = time.perf_counter()
+    k = _checked(k, p, n)
+    lhs = Residue(zeta(tuple(k), p, n), p ** n)
+    total = sum(zeta(m, p, n) * p ** i for i, m in _lattice(k, n))
+    rhs = Residue(-total if k.depth % 2 else total, p ** n)
+    return make_report(
+        "padic-duality",
+        {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
 
 
-def _seki_lifting(k, p, n, zeta, started):
+def seki_lifting_check(k, p, n=1, *, zeta=_zeta_residue):
+    """Check the lifted cancellation of weak sums with appended ones.
+
+    Both truncated series sum p^i times the weak sum at the index with i
+    ones appended, i < n; the check passes when the series for k and for
+    its Hoffman dual cancel mod p^n.  At n=1 this is the plain weak-sum
+    cancellation mod p.
+    """
+    started = time.perf_counter()
     k = _checked(k, p, n)
 
     def series(base):
-        return sum(p ** i * _star(zeta, Index(base + (1,) * i))
+        return sum(p ** i * _star(Index(base + (1,) * i), p, n, zeta=zeta)
                    for i in range(n))
 
     lhs = Residue(series(tuple(k)), p ** n)
@@ -299,42 +293,24 @@ def _seki_lifting(k, p, n, zeta, started):
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
 
 
-def seki_lifting_check(k, p, n=1):
-    """Check the lifted cancellation of weak sums with appended ones.
-
-    Both truncated series sum p^i times the weak sum at the index with i
-    ones appended, i < n; the check passes when the series for k and for
-    its Hoffman dual cancel mod p^n.  At n=1 this is the plain weak-sum
-    cancellation mod p.
-    """
-    return _seki_lifting(k, p, n, _lookup(p, n), time.perf_counter())
-
-
-_BODIES = {"hoffman_duality_check": _hoffman_duality,
-           "antipode_duality_check": _antipode_duality,
-           "padic_duality_check": _padic_duality,
-           "seki_lifting_check": _seki_lifting}
-
-
 def residue_sweep(tasks):
     """The report of each (check, kwargs) task of the four residue checks,
-    in order; a task of any other function is called as it is.  Each pair
+    in order; a task without a prime is called as it is.  Each pair
     (p, n) walks its trie once, at its first task, up to weight w + n - 1,
     w the largest weight of the tasks: all that the lifted checks read.
+    The pair's checks read their residues from that table.
     """
     reach = max(as_index(kwargs["k"]).weight for _, kwargs in tasks) - 1
-    tables = {}
+    lookups = {}
     for check, kwargs in tasks:
-        # By name, so that a wrapped check (as a tracer wraps it) is found.
-        body = _BODIES.get(check.__name__)
-        if body is None:
+        if "p" not in kwargs:
             yield check(**kwargs)
             continue
-        started = time.perf_counter()
-        p, n = kwargs["p"], kwargs.get("n", 1)
-        if (p, n) not in tables:
-            tables[p, n] = _walk(p, n, trie_order(reach + n))
-        yield body(kwargs["k"], p, n, tables[p, n].__getitem__, started)
+        pair = kwargs["p"], kwargs.get("n", 1)
+        if pair not in lookups:
+            table = _walk(*pair, trie_order(reach + pair[1]))
+            lookups[pair] = lambda m, p, n, table=table: table[m]
+        yield check(**kwargs, zeta=lookups[pair])
 
 
 def min_passing_prime(check, k, n, lo=3, hi=199):

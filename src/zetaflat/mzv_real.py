@@ -173,13 +173,14 @@ def main_sweep(tasks):
     the top fence of the tasks.  Each fence walks the union of the tasks'
     branches once, at its first read, and each read takes its value out
     of that walk, unless the fence is past FLAT_TABLE_BITS for the tasks'
-    largest weight; then each read walks its own branch.
+    largest weight; then each read walks its own branch.  The walk's
+    lcm(1..N) is kept with it for the reads' denominators.
     """
     top = max(kwargs["upper"] for _, kwargs in tasks)
     ks = {tuple(kwargs["k"]) for _, kwargs in tasks}
     weight = max(map(sum, ks))
     nodes = sorted({node for k in ks for node in _branch(k)})
-    column_of, tables = None, {}
+    column_of, tables, lcms = None, {}, {}
     for _, kwargs in tasks:
         started = time.perf_counter()
         k, upper, method = as_index(kwargs["k"]), kwargs["upper"], kwargs["method"]
@@ -188,9 +189,10 @@ def main_sweep(tasks):
         if method == "dp" and upper > 1 and upper not in tables:
             fits = 2 ** weight * weight * upper ** 2 <= FLAT_TABLE_BITS
             tables[upper] = _flat_walk(upper, nodes) if fits else {}
+            lcms[upper] = lcm_upto(upper)
         value = tables.get(upper, {}).pop(tuple(k), None)
         flat = (zeta_flat(k, upper, method) if value is None
-                else Fraction(value, lcm_upto(upper) ** k.weight))
+                else Fraction(value, lcms[upper] ** k.weight))
         yield make_report("main", {"k": format_index(k), "N": upper},
                           column[upper], flat, started)
 

@@ -2,19 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import zetaflat
-from zetaflat import cli
+from zetaflat import cli, finite_padic
 from zetaflat.cli import entry, parse_exponents, parse_range, parse_side
 from zetaflat.finite_padic import (
     PADIC_FIXTURES,
     SEKI_FIXTURES,
     load_thresholds,
     primes_in,
+    save_thresholds,
 )
-from zetaflat.index_algebra import Index, indices_up_to_weight
+from zetaflat.index_algebra import Index, format_index, indices_up_to_weight
 from zetaflat.mzv_real import (
     log2_discretization_check,
     main_identity_check,
@@ -396,6 +398,69 @@ def test_verify_missing_threshold_file(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["verify", "seki", "--n-values", "2"], capsys)
     assert code == 2 and err.startswith("error: ")
     assert "seki_thresholds.txt" in err and "PASS" not in out + err
+
+
+def test_telescope_reports(monkeypatch, capsys):
+    """A telescope report ends with its stage count, after elapsed_ms; a
+    route whose stages differ anywhere fails with rhs 'stages diverge'."""
+    argv = ["verify", "telescope", "--max-weight", "2", "--max-upper", "3"]
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    for line in out.splitlines():
+        row = json.loads(line)
+        assert list(row)[-2:] == ["elapsed_ms", "stages"]
+        assert row["stages"] == row["inputs"]["k"].count(",") + 2
+    real = cli.telescope
+
+    def diverging(k, upper):
+        # Stage 1 is the last stage at depth 1 and a middle one at depth 2.
+        trace = real(k, upper)
+        stages = list(trace.stages)
+        stages[1] = replace(stages[1], value=stages[1].value + 1)
+        return replace(trace, stages=tuple(stages))
+
+    monkeypatch.setattr(cli, "telescope", diverging)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    *lines, summary = out.splitlines()
+    assert summary == "FAIL 0/9" and len(lines) == 9
+    for line in lines:
+        assert line.startswith("FAIL telescope ")
+        assert line.endswith("  rhs=stages diverge")
+
+
+@pytest.mark.parametrize("suite,name,check_id", [
+    ("padic", PADIC_FIXTURES, "padic-duality"),
+    ("seki", SEKI_FIXTURES, "seki-lifting")])
+def test_partial_fixtures_report_missing_entries(suite, name, check_id,
+                                                 tmp_path, monkeypatch, capsys):
+    """An (index, n) the fixtures file lacks is one failing report; the
+    other checks of the grid still run, each (prime, exponent) pair
+    walked once."""
+    table = load_thresholds(name)
+    dropped = sorted(table)[::3]
+    monkeypatch.setenv("ZETAFLAT_FIXTURES_DIR", str(tmp_path))
+    save_thresholds(name, {key: p0 for key, p0 in table.items()
+                           if key not in dropped})
+    walks = []
+    real = finite_padic._walk
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
+                        walks.append((p, n)) or real(p, n, nodes))
+    code, out, _ = run_cli(["verify", suite, "--max-weight", "3",
+                            "--primes", "3..23"], capsys)
+    assert code == 1
+    *lines, summary = out.splitlines()
+    want = sorted(f"FAIL {check_id} k={format_index(k)} n={n}  "
+                  f"lhs=no pinned threshold  rhs=fixtures record"
+                  for k, n in dropped if k.weight <= 3)
+    assert want and sorted(l for l in lines if l.startswith("FAIL")) == want
+    assert summary == f"FAIL {len(lines) - len(want)}/{len(lines)}"
+    pairs = set()
+    for line in lines:
+        if line.startswith("ok"):
+            inputs = dict(t.split("=") for t in line.split()[2:])
+            pairs.add((int(inputs["p"]), int(inputs["n"])))
+    assert sorted(walks) == sorted(pairs)
 
 
 def test_verify_prints_each_report_as_it_returns(monkeypatch, capsys):

@@ -340,6 +340,36 @@ def test_residue_tables_match_modular_dp(cold_tables):
                 assert zeta_mod(k, p, n).value == table[k], (k, p, n)
 
 
+@pytest.mark.parametrize("check,n", [
+    (hoffman_duality_check, 1), (antipode_duality_check, 1),
+    (padic_duality_check, 2), (seki_lifting_check, 3)])
+def test_checks_read_only_the_lookup_they_are_given(check, n, cold_tables):
+    """A check given a lookup reads every residue from it and none from
+    the lookup cache of single checks; shifting one residue it reads
+    flips its verdict."""
+    k, p = Index((2, 1, 1)), 11
+    args = (k, p) if n == 1 else (k, p, n)
+    table = finite_padic._walk(p, n, trie_order(k.weight + n - 1))
+    reads = []
+
+    def lookup(m, q, e):
+        assert (q, e) == (p, n)
+        reads.append(m)
+        return table[m]
+
+    want = check(*args)
+    assert want.passed
+    finite_padic._zeta_residue.cache_clear()
+    got = check(*args, zeta=lookup)
+    assert (got.lhs, got.rhs, got.passed) == (want.lhs, want.rhs, True)
+    info = finite_padic._zeta_residue.cache_info()
+    assert info.hits == info.misses == 0
+    once = [m for m in reads if reads.count(m) == 1]
+    assert once
+    shifted = check(*args, zeta=lambda m, q, e: table[m] + (m == once[0]))
+    assert not shifted.passed
+
+
 @pytest.mark.parametrize("suite", ["padic", "seki", "duality-a", "antipode"])
 def test_sweep_walks_each_pair_once(suite, cold_tables, monkeypatch, capsys):
     """verify hands its grid to one `residue_sweep` call, which walks

@@ -397,3 +397,20 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch, capsys):
     assert walks[0] == (2, 7)
     assert sorted(walks[1:]) == sorted((n, sum(k)) for k in trie_order(3)
                                        for n in range(3, 7))
+
+
+def test_sweep_computes_each_lcm_once(monkeypatch, capsys):
+    """main_sweep keeps each fence's lcm(1..N) with its walk, so fences
+    past the size of the lcm cache are not computed again per index."""
+    import math
+
+    from zetaflat.cli import main
+
+    calls = []
+    real = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *args: calls.append(len(args))
+                        or real(*args))
+    lcm_upto.cache_clear()
+    assert main(["verify", "main", "--max-weight", "2", "--max-upper", "80"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 81

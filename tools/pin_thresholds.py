@@ -37,8 +37,6 @@ def sweep(check, label, max_weight, lo, hi):
     table = {}
     missing = []
     for k in indices_up_to_weight(max_weight):
-        if not k:
-            continue
         for n in (2, 3):
             t0 = time.perf_counter()
             p0 = min_passing_prime(check, k, n, lo=lo, hi=hi)
