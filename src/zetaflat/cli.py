@@ -24,6 +24,8 @@ from .connected_sum import (
     connected_sum,
     connector,
     telescope,
+    telescope_report,
+    telescope_sweep,
     transport_weight_down_check,
     transport_weight_up_check,
 )
@@ -228,13 +230,8 @@ def cmd_eval(args):
 
 def _telescope_report(k, upper):
     started = time.perf_counter()
-    trace = telescope(k, upper)
-    # The end stages are zeta_trunc(k, N+1) and zeta_flat(k, N+1) by the
-    # boundary convention of connected_sum.
-    last = trace.stages[-1].value if trace.all_equal else "stages diverge"
-    return make_report("telescope", {"k": format_index(k), "N": upper},
-                       trace.stages[0].value, last, started,
-                       notes={"stages": len(trace.stages)})
+    values = [stage.value for stage in telescope(k, upper).stages]
+    return telescope_report(k, upper, values, started)
 
 
 def _transport_sweep_report(which, upper):
@@ -386,7 +383,8 @@ def _sweeps(tasks):
                             padic_duality_check, seki_lifting_check,
                             _missing_fixture_report), residue_sweep)
     sweeps.update({main_identity_check: main_sweep,
-                   hoffman_identity_check: hoffman_identity_sweep})
+                   hoffman_identity_check: hoffman_identity_sweep,
+                   _telescope_report: telescope_sweep})
     for sweep, run in groupby(tasks, lambda task: sweeps.get(task[0])):
         if sweep is None:
             yield from (fn(**kwargs) for fn, kwargs in run)

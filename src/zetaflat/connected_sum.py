@@ -11,8 +11,15 @@ trace of equal-valued connected sums.
 Both sides of a connected sum are endpoint values of the shared chain
 engine: zeta_chain(left) at fence N+1 pinned at its last variable v, and
 the reflected tilde_chain(right) at fence N, read at N - u, pinned at its
-first variable u.  One pass over the connector rows in scaled integers
-couples the two.
+first variable u.  The connector couples them through the inner sums
+sum_{u >= v} binom(u, v) b[N - u], which `binomial_sums` forms for every
+v at once by additions only (a Taylor shift by 1), over the denominator
+lcm_v binom(N, v).
+
+`telescope` and `connected_sum` evaluate one stage at a time and stay the
+independent path; `verify telescope` runs `telescope_sweep`, which gives
+the same stages from the left layers, right sides and `_flat_walk`s that
+its routes share.
 """
 
 from __future__ import annotations
@@ -22,17 +29,23 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
+from operator import mul
 
+from ._kernels import dp_sum
 from .chainsum import (
+    _plan,
     endpoint_values,
     eval_dp,
     flat_chain,
+    lcm_upto,
     reflect_chain,
     tilde_chain,
     zeta_chain,
 )
 from .index_algebra import Index, as_index, format_index
+from .mzv_real import FLAT_TABLE_BITS, _branch, _flat_walk
 from .reports import fraction_str, make_report
 
 
@@ -100,16 +113,47 @@ def connected_sum(upper, left, right) -> Fraction:
         return eval_dp(zeta_chain(left), upper + 1)
     if not left:
         return eval_dp(flat_chain(right), upper + 1)
-    a, sa = endpoint_values(zeta_chain(left), upper + 1)
-    b, sb = endpoint_values(reflect_chain(tilde_chain(right)), upper)
-    rows = [comb(upper, v) for v in range(upper + 1)]
-    den = lcm(*rows)
-    total = 0
+    left_values = endpoint_values(zeta_chain(left), upper + 1)
+    return _connected_sums(right, upper, _binomials(upper), [left_values])[0]
+
+
+def binomial_sums(x) -> list:
+    """[sum_{u >= v} binom(u, v) x[u] for v in range(len(x))], by additions.
+
+    These are the coefficients of p(t + 1) for p(t) = sum_u x[u] t^u.
+    With the tail sum (T y)[w] = sum_{u > w} y[u], the hockey stick
+    binom(u, v) = sum_{w < u} binom(w, v - 1) makes sum v the total of
+    T^v x.  On x reversed, T is one pass of running sums that drops its
+    last entry, which is the total: len(x)^2 / 2 additions in all.
+    """
+    run, out = x[::-1], []
+    while run:
+        run = list(accumulate(run))
+        out.append(run.pop())
+    return out
+
+
+def _binomials(upper):
+    """(cofactors, den): den = lcm_v binom(N, v), cofactor v = den / binom(N, v)."""
+    row = [1]
     for v in range(1, upper + 1):
-        if a[v]:
-            inner = sum(comb(u, v) * b[upper - u] for u in range(v, upper + 1))
-            total += a[v] * (den // rows[v]) * inner
-    return Fraction(total, sa * sb * den)
+        row.append(row[-1] * (upper + 1 - v) // v)
+    den = lcm(*row)
+    return [den // b for b in row], den
+
+
+def _connected_sums(right, upper, binomials, lefts):
+    """Z_N(left | right) for the endpoint values (a, sa) of zeta_chain(left)
+    at fence N + 1 or above, for each left side in `lefts`.
+
+    With (b, sb) the endpoint values of the reflected tilde_chain(right)
+    at N, and (cofactors, den) = `binomials`, the sum is
+    sum_v a[v] cofactor[v] sum_{u >= v} binom(u, v) b[N - u] / (sa sb den).
+    """
+    b, sb = endpoint_values(reflect_chain(tilde_chain(right)), upper)
+    cofactors, den = binomials
+    w = list(map(mul, cofactors, binomial_sums(b[::-1])))
+    return [Fraction(sum(map(mul, a, w)), sa * sb * den) for a, sa in lefts]
 
 
 @dataclass(frozen=True)
@@ -175,3 +219,99 @@ def telescope(k, upper) -> TelescopeTrace:
         stages.append(TelescopeStage(
             left=left, right=right, value=connected_sum(upper, left, right)))
     return TelescopeTrace(index=k, upper=upper, stages=tuple(stages))
+
+
+def telescope_report(k, upper, values, started):
+    """The `verify telescope` report of one route from its stage values.
+
+    The end stages are zeta_trunc(k, N+1) and zeta_flat(k, N+1) by the
+    boundary convention of connected_sum.
+    """
+    last = values[-1] if all(v == values[0] for v in values) else "stages diverge"
+    return make_report("telescope", {"k": format_index(k), "N": upper},
+                       values[0], last, started, notes={"stages": len(values)})
+
+
+def _prefix_walk(upper, nodes):
+    """{m: endpoint_values(zeta_chain(m), upper)} for every index m in `nodes`.
+
+    `nodes` are tuples closed under taking prefixes and sorted, so the
+    layer of a node's parent is the last one kept at the parent's depth
+    (see `trie_order`).  Each exponent e is planned once, as
+    zeta_chain((e,)) at the fence, and a node's layer is its parent's
+    extended by that one strict position.
+    """
+    lam = lcm_upto(upper)
+    plans = {}
+    layers = [[1] + [0] * upper]
+    fronts = {}
+    for m in nodes:
+        e = m[-1]
+        if e not in plans:
+            plans[e] = _plan(zeta_chain((e,)), upper)
+        del layers[len(m):]
+        layers.append(dp_sum(*plans[e], [lam ** e], layers[-1]))
+        fronts[m] = layers[-1], lam ** sum(m)
+    return fronts
+
+
+def telescope_sweep(tasks):
+    """`telescope_report` of each (check, kwargs) task of `verify telescope`,
+    in order, with the stage values of `telescope` read from tables that
+    the run's routes share:
+
+    - left sides: every left side is a prefix of its index, and the
+      endpoint values of zeta_chain(left) at v <= N are those at any
+      higher fence, so one walk of the prefix trie at the run's top
+      fence + 1 (`_prefix_walk`) gives every left layer and stage 0;
+    - middle stages: at the first read of a (suffix, fence), one
+      evaluation of its right side, on the fence's binomial cofactors
+      (built once per fence), gives the stage of every route of the run
+      that ends in that suffix (`_connected_sums`), and is dropped; each
+      stage is popped as it is read;
+    - stage r: one `_flat_walk` per fence + 1 over the branches of the
+      run's indices, each value popped as it is read, and the walk
+      dropped after the fence's last task.
+
+    At top weight W and top fence N the left layers and the walks each
+    hold about 2^W * W * N^2 bits, and the stages waiting to be read up
+    to W / 3 times that.  Past FLAT_TABLE_BITS for 2^W * W^2 * N^2, each
+    task runs `telescope` instead, as `main_sweep` reads past its budget.
+    """
+    routes = [(as_index(kwargs["k"]), kwargs["upper"]) for _, kwargs in tasks]
+    top = max(n for _, n in routes)
+    weight = max(k.weight for k, _ in routes)
+    if 2 ** weight * weight ** 2 * (top + 1) ** 2 > FLAT_TABLE_BITS:
+        for k, n in routes:
+            started = time.perf_counter()
+            values = [stage.value for stage in telescope(k, n).stages]
+            yield telescope_report(k, n, values, started)
+        return
+    lefts = _prefix_walk(top + 1, sorted(
+        {k[:i] for k, _ in routes for i in range(1, k.depth + 1)}))
+    nodes = sorted({node for k, _ in routes for node in _branch(k)})
+    readers, last = {}, {}
+    for i, (k, n) in enumerate(routes):
+        last[n] = i
+        for j in range(1, k.depth):
+            readers.setdefault((k[j:], n), []).append(k[:j])
+    fences, middles = {}, {}
+    for i, (k, n) in enumerate(routes):
+        started = time.perf_counter()
+        if n not in fences:
+            fences[n] = _binomials(n), lcm_upto(n + 1), _flat_walk(n + 1, nodes)
+        binomials, lcm_n, flats = fences[n] if last[n] > i else fences.pop(n)
+        front, scale = lefts[k]
+        values = [Fraction(sum(front[:n + 1]), scale)]
+        for j in range(k.depth - 1, 0, -1):
+            right = k[j:]
+            if (right, n) in readers:  # its first read
+                stage_lefts = readers.pop((right, n))
+                middles.update(zip(
+                    ((left, right, n) for left in stage_lefts),
+                    _connected_sums(right, n, binomials,
+                                    [lefts[left] for left in stage_lefts])))
+            values.append(middles.pop((k[:j], right, n)))
+        values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
+        del binomials, flats  # past the fence's last task, its tables go
+        yield telescope_report(k, n, values, started)

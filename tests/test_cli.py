@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -410,16 +409,18 @@ def test_telescope_reports(monkeypatch, capsys):
         row = json.loads(line)
         assert list(row)[-2:] == ["elapsed_ms", "stages"]
         assert row["stages"] == row["inputs"]["k"].count(",") + 2
-    real = cli.telescope
+    # The package exports the function connected_sum under the module's name.
+    module = sys.modules["zetaflat.connected_sum"]
+    real = module.telescope_report
 
-    def diverging(k, upper):
+    def diverging(k, upper, values, started):
         # Stage 1 is the last stage at depth 1 and a middle one at depth 2.
-        trace = real(k, upper)
-        stages = list(trace.stages)
-        stages[1] = replace(stages[1], value=stages[1].value + 1)
-        return replace(trace, stages=tuple(stages))
+        values = list(values)
+        values[1] += 1
+        return real(k, upper, values, started)
 
-    monkeypatch.setattr(cli, "telescope", diverging)
+    # telescope_sweep hands each route's stage values to this function.
+    monkeypatch.setattr(module, "telescope_report", diverging)
     code, out, _ = run_cli(argv, capsys)
     assert code == 1
     *lines, summary = out.splitlines()

@@ -10,16 +10,25 @@ package.
 
 import itertools
 import json
+import random
+import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from zetaflat.chainsum import reflect_chain, tilde_chain
+from zetaflat.cli import _telescope_report
 from zetaflat.connected_sum import (
     TelescopeStage,
     TelescopeTrace,
+    binomial_sums,
     connected_sum,
     connector,
     telescope,
+    telescope_sweep,
     transport_weight_down_check,
     transport_weight_up_check,
 )
@@ -224,3 +233,84 @@ def test_trace_serialization():
 def test_telescope_rejects_empty():
     with pytest.raises(ValueError):
         telescope((), 5)
+
+
+def test_binomial_sums_match_comb_products():
+    rng = random.Random(13)
+    for upper in range(41):
+        x = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(upper + 1)]
+        assert binomial_sums(x) == [
+            sum(comb(u, v) * x[u] for u in range(v, upper + 1))
+            for v in range(upper + 1)], upper
+
+
+class _Table(list):
+    """A list that can be watched through a weak reference."""
+
+
+class _Walk(dict):
+    """A dict that can be watched through a weak reference."""
+
+
+def _telescope_tasks(weight, top):
+    return [(_telescope_report, {"k": k, "upper": n})
+            for k in indices_up_to_weight(weight) for n in range(1, top + 1)]
+
+
+def test_sweep_forms_each_right_side_once(monkeypatch):
+    """telescope_sweep evaluates the right chain of each (suffix, fence)
+    once and keeps none of those values, drops each fence's walk after
+    the fence's last report, and its reports equal those of each route
+    telescoped alone."""
+    # The package exports the function connected_sum under the module's name.
+    module = sys.modules["zetaflat.connected_sum"]
+    chains, rights, walks = Counter(), [], {}
+    real_values = module.endpoint_values
+    real_walk = module._flat_walk
+    real_prefixes = module._prefix_walk
+
+    def endpoint_values(spec, upper):
+        chains[spec, upper] += 1
+        front, scale = real_values(spec, upper)
+        rights.append(weakref.ref(front := _Table(front)))
+        return front, scale
+
+    def flat_walk(upper, nodes):
+        # Stage r of a route at fence N is a walk at N + 1.
+        walks[upper - 1] = weakref.ref(walk := _Walk(real_walk(upper, nodes)))
+        return walk
+
+    def prefix_walk(upper, nodes):
+        walks["prefixes"] = weakref.ref(walk := _Walk(real_prefixes(upper, nodes)))
+        return walk
+
+    tasks = _telescope_tasks(4, 8)
+    alone = [fn(**kwargs) for fn, kwargs in tasks]
+    last = {kwargs["upper"]: i for i, (_, kwargs) in enumerate(tasks)}
+    monkeypatch.setattr(module, "endpoint_values", endpoint_values)
+    monkeypatch.setattr(module, "_flat_walk", flat_walk)
+    monkeypatch.setattr(module, "_prefix_walk", prefix_walk)
+    for i, (want, report) in enumerate(
+            zip(alone, telescope_sweep(tasks), strict=True)):
+        assert report.passed
+        assert (report.lhs, report.rhs) == (want.lhs, want.rhs)
+        assert all(ref() is None for ref in rights)
+        assert all(walks[n]() is None for n, j in last.items() if j <= i)
+    suffixes = {k[j:] for k in indices_up_to_weight(4) for j in range(1, len(k))}
+    assert chains == Counter({(reflect_chain(tilde_chain(s)), n): 1
+                              for s in suffixes for n in range(1, 9)})
+    assert sorted(walks, key=str) == [*range(1, 9), "prefixes"]
+    assert all(ref() is None for ref in walks.values())
+
+
+def test_sweep_past_the_table_budget(monkeypatch):
+    """Past FLAT_TABLE_BITS the sweep keeps no table: each route takes
+    the per-stage path of `telescope`."""
+    module = sys.modules["zetaflat.connected_sum"]
+    monkeypatch.setattr(module, "FLAT_TABLE_BITS", 0)
+    monkeypatch.setattr(module, "_flat_walk", None)
+    monkeypatch.setattr(module, "_prefix_walk", None)
+    tasks = _telescope_tasks(3, 4)
+    for (fn, kwargs), report in zip(tasks, telescope_sweep(tasks), strict=True):
+        want = fn(**kwargs)
+        assert report.passed and (report.lhs, report.rhs) == (want.lhs, want.rhs)

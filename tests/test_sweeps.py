@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from zetaflat import cli
 
-SUITES = ("main", "hoffman-identity", "padic", "seki", "duality-a", "antipode")
+SUITES = ("main", "hoffman-identity", "telescope", "padic", "seki",
+          "duality-a", "antipode")
 
 
 @st.composite
@@ -20,7 +21,7 @@ def cut_grids(draw):
     """(tasks, cut points) of a small verify grid."""
     suite = draw(st.sampled_from(SUITES))
     argv = ["verify", suite, f"--max-weight={draw(st.integers(1, 3))}"]
-    if suite in ("main", "hoffman-identity"):
+    if suite in ("main", "hoffman-identity", "telescope"):
         argv.append(f"--max-upper={draw(st.integers(1, 6))}")
         if suite == "main" and draw(st.booleans()):
             argv.append("--method=enum")
