@@ -118,9 +118,10 @@ def harmonic_tree(exps, fences, scales):
     of LEAF_STEPS steps stepped directly, and the row carries across the
     gaps.  Fences must not decrease; a repeated fence takes no steps.
     Every diagonal entry of a product is the product of its step
-    denominators, so row[0] is the row's denominator, and at fences[j]
-    the result is row[r] * scales[j] // row[0]: exact whenever scales[j]
-    times the sum is an integer, as it is for lcm(1..N)^weight.
+    denominators, multiplied once per step or node: row[0] is the row's
+    denominator, and at fences[j] the result is row[r] * scales[j] //
+    row[0], exact whenever scales[j] times the sum is an integer, as it
+    is for lcm(1..N)^weight.
     """
     r, t = len(exps), max(exps)
 
@@ -129,10 +130,11 @@ def harmonic_tree(exps, fences, scales):
         for m in range(a, b):
             d = m ** t
             lift = [m ** (t - e) for e in exps]
+            diag = mat[0][0] * d
             for i, row in enumerate(mat):
                 for j in range(r, i, -1):
                     row[j] = row[j] * d + row[j - 1] * lift[j - 1]
-                row[i] *= d
+                row[i] = diag
         return mat
 
     def product(a, b):
@@ -140,7 +142,9 @@ def harmonic_tree(exps, fences, scales):
             return leaf(a, b)
         mid = (a + b) // 2
         p, q = product(a, mid), product(mid, b)
-        return [[sum(p[i][l] * q[l][j] for l in range(i, j + 1))
+        diag = p[0][0] * q[0][0]
+        return [[diag if i == j else sum(p[i][l] * q[l][j]
+                                         for l in range(i, j + 1))
                  for j in range(r + 1)] for i in range(r + 1)]
 
     row, prev, out = [1] + [0] * r, 1, []

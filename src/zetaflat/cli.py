@@ -52,6 +52,7 @@ from .index_algebra import (
 )
 from .mzv_real import (
     duality_convergence,
+    duality_sweep,
     log2_discretization_check,
     main_identity_check,
     main_sweep,
@@ -59,6 +60,7 @@ from .mzv_real import (
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
+    zeta_trunc_column,
 )
 from .reports import VerificationReport, decimal_str, fraction_str, make_report
 
@@ -244,13 +246,15 @@ def _transport_sweep_report(which, upper):
     return make_report(f"transport{which}", {"N": upper}, bad, [], started)
 
 
-def _duality_r_rows(k, lo, hi):
-    return duality_convergence(k, [2 ** j for j in range(lo, hi + 1)])
+def _duality_r_rows(k, lo, hi, *, column=zeta_trunc_column):
+    return duality_convergence(k, [2 ** j for j in range(lo, hi + 1)],
+                               column=column)
 
 
-def _duality_r_report(k, lo, hi):
+def _duality_r_report(k, lo, hi, *, column=zeta_trunc_column):
     started = time.perf_counter()
-    return _convergence_report(k, lo, hi, _duality_r_rows(k, lo, hi), started)
+    rows = _duality_r_rows(k, lo, hi, column=column)
+    return _convergence_report(k, lo, hi, rows, started)
 
 
 def _convergence_report(k, lo, hi, rows, started):
@@ -384,7 +388,8 @@ def _sweeps(tasks):
                             _missing_fixture_report), residue_sweep)
     sweeps.update({main_identity_check: main_sweep,
                    hoffman_identity_check: hoffman_identity_sweep,
-                   _telescope_report: telescope_sweep})
+                   _telescope_report: telescope_sweep,
+                   _duality_r_report: duality_sweep})
     for sweep, run in groupby(tasks, lambda task: sweeps.get(task[0])):
         if sweep is None:
             yield from (fn(**kwargs) for fn, kwargs in run)

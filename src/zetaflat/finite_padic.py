@@ -313,16 +313,16 @@ def residue_sweep(tasks):
         yield check(**kwargs, zeta=lookups[pair])
 
 
-def min_passing_prime(check, k, n, lo=3, hi=199):
+def min_passing_prime(check, k, n, lo=3, hi=199, *, zeta=_zeta_residue):
     """Smallest P0 with `check(k, p, n)` passing for every prime in [P0, hi].
 
     Walks the range downward and stops at the first failure, so the
     result certifies the whole tail.  Returns None when even the largest
-    prime in range fails.
+    prime in range fails.  The check reads its residues through `zeta`.
     """
     best = None
     for p in reversed(primes_in(lo, hi)):
-        if not check(k, p, n).passed:
+        if not check(k, p, n, zeta=zeta).passed:
             break
         best = p
     return best

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._kernels import dp_sum, harmonic_tree
 from .chainsum import (
@@ -280,12 +281,23 @@ class ConvergenceRow:
     decimal: str
 
 
-def duality_convergence(k, uppers, method="dp") -> list:
-    """Table of |zeta_trunc(k, N) - zeta_trunc(dual(k), N)| over fences N."""
+def duality_convergence(k, uppers, method="dp", *,
+                        column=zeta_trunc_column) -> list:
+    """Table of |zeta_trunc(k, N) - zeta_trunc(dual(k), N)| over fences N,
+    each side read as `column(index, tuple of fences, method)`."""
     k = as_index(k)
     kd = dual(k)
-    uppers = list(uppers)
-    diffs = [abs(a - b) for a, b in zip(zeta_trunc_column(k, uppers, method),
-                                        zeta_trunc_column(kd, uppers, method))]
+    uppers = tuple(uppers)
+    diffs = [abs(a - b) for a, b in zip(column(k, uppers, method),
+                                        column(kd, uppers, method))]
     return [ConvergenceRow(upper=n, diff=d, decimal=decimal_str(d))
             for n, d in zip(uppers, diffs)]
+
+
+def duality_sweep(tasks):
+    """The report of each (check, kwargs) task, in order; the checks read
+    their columns through one cache local to the sweep, so each distinct
+    (index, fences) column is computed once, at its first read."""
+    column = lru_cache(maxsize=None)(zeta_trunc_column)
+    for check, kwargs in tasks:
+        yield check(**kwargs, column=column)

@@ -17,7 +17,8 @@ from .chainsum import Residue
 
 
 def fraction_str(q) -> str:
-    q = Fraction(q)
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import zetaflat
-from zetaflat import cli, finite_padic
+from zetaflat import cli, finite_padic, mzv_real
 from zetaflat.cli import entry, parse_exponents, parse_range, parse_side
 from zetaflat.finite_padic import (
     PADIC_FIXTURES,
@@ -222,6 +223,65 @@ def test_verify_duality_r_fails_a_rise_after_the_empty_fences(capsys):
     assert code == 0 and json.loads(out)["pass"]
 
 
+def output_digest(out):
+    """sha256 prefix of a CLI's stdout, each JSON report without its
+    elapsed_ms."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            report = json.loads(line)
+            del report["elapsed_ms"]
+            line = json.dumps(report, sort_keys=True)
+        lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# Digests of the output as it was before the duality-r sweep shared
+# columns, when each task built a product tree for each side; `trees` is
+# the number of trees the sweep builds now (8, 2, 2, 2, 4, 0 before).
+@pytest.mark.parametrize("argv, code, trees, digest", [
+    (["--json"], 0, [(3,), (1, 2), (2, 2), (1, 1, 2), (4,)],
+     "88631ab1b3751ed2"),
+    (["--index", "3", "--csv"], 0, [(3,), (1, 2)], "8308330e537d0218"),
+    (["--index", "1,1,2", "--powers", "9..12", "--json"], 0,
+     [(1, 1, 2), (4,)], "c3085ac78534beca"),
+    (["--index", "1,3,2", "--powers", "0..12", "--json"], 1,
+     [(1, 3, 2), (2, 1, 3)], "47d63a7d928be7c1"),
+    (["--index", "2,2", "--index", "2,2", "--powers", "9..11", "--json"], 0,
+     [(2, 2)], "fd8b10d83400c166"),
+    (["--powers", "0..3", "--json"], 0, [], "0a31eceb53c88609"),
+])
+def test_verify_duality_r_builds_each_column_once(argv, code, trees, digest,
+                                                  monkeypatch, capsys):
+    """(3) and (1,2) are duals of each other and (2,2) is self-dual, so
+    the default grid's four indices read five distinct columns, and a
+    repeated index reads its columns again; the sweep builds one product
+    tree per distinct column and prints the same reports, verdicts and
+    exit codes.  A second run builds its trees again: no table outlives
+    the sweep."""
+    calls = []
+    real = mzv_real.harmonic_tree
+    monkeypatch.setattr(mzv_real, "harmonic_tree", lambda exps, *rest:
+                        calls.append(tuple(exps)) or real(exps, *rest))
+    for _ in range(2 if argv == ["--json"] else 1):
+        calls.clear()
+        got, out, _ = run_cli(["verify", "duality-r", *argv], capsys)
+        assert (got, calls, output_digest(out)) == (code, trees, digest)
+
+
+def test_duality_convergence_keeps_no_columns(monkeypatch):
+    """A library call computes both of its columns on every call."""
+    calls = []
+    real = mzv_real.harmonic_tree
+    monkeypatch.setattr(mzv_real, "harmonic_tree",
+                        lambda *args: calls.append(args) or real(*args))
+    fences = [16, 2048]
+    first = mzv_real.duality_convergence((1, 2), fences)
+    assert mzv_real.duality_convergence((1, 2), fences) == first
+    assert mzv_real.duality_convergence((3,), fences) == first
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("powers", ["0..1", "1..2", "12..12"])
 def test_verify_duality_r_needs_two_ranked_fences(powers, capsys):
     """No convergence index has two fences above its depth (or its dual's)
@@ -333,7 +393,8 @@ def test_verify_jobs_matches_sequential(capsys):
             (["verify", "seki", "--max-weight", "3", "--primes", "3..31",
               "--n-values", "1,3"], "2"),
             (["verify", "duality-a", "--max-weight", "3"], "2"),
-            (["verify", "antipode", "--max-weight", "3"], "2")]:
+            (["verify", "antipode", "--max-weight", "3"], "2"),
+            (["verify", "duality-r", "--powers", "4..11"], "2")]:
         _, seq, _ = run_cli(argv, capsys)
         _, par, _ = run_cli(argv + ["--jobs", jobs], capsys)
         assert seq == par

@@ -266,23 +266,54 @@ def test_min_passing_prime_contract():
 
     calls = []
 
-    def above_eleven(k, p, n):
-        calls.append(p)
+    def lookup(m, p, n):
+        raise AssertionError("the fake checks read no residues")
+
+    def above_eleven(k, p, n, *, zeta):
+        calls.append((p, zeta))
         return FakeReport(p >= 11)
 
-    assert min_passing_prime(above_eleven, (2,), 2, lo=3, hi=31) == 11
-    # walked downward and stopped right below the threshold
-    assert calls == [31, 29, 23, 19, 17, 13, 11, 7]
+    assert min_passing_prime(above_eleven, (2,), 2, lo=3, hi=31,
+                             zeta=lookup) == 11
+    # walked downward and stopped right below the threshold, each check
+    # handed the lookup
+    assert calls == [(p, lookup) for p in [31, 29, 23, 19, 17, 13, 11, 7]]
 
-    def never(k, p, n):
+    def never(k, p, n, *, zeta):
         return FakeReport(False)
 
     assert min_passing_prime(never, (2,), 2, lo=3, hi=31) is None
 
-    def always(k, p, n):
+    def always(k, p, n, *, zeta):
         return FakeReport(True)
 
     assert min_passing_prime(always, (2,), 2, lo=3, hi=31) == 3
+
+
+def test_min_passing_prime_through_one_table_per_pair():
+    """Read through one walk per (p, n) of every index up to weight
+    w + n - 1, as tools/pin_thresholds.py reads them, the thresholds of
+    weight <= 3 are the pinned ones, and so are those of weight <= 2
+    read through the default per-branch walks."""
+    tables = {}
+
+    def zeta(m, p, n):
+        if (p, n) not in tables:
+            tables[p, n] = finite_padic._walk(p, n, trie_order(n + 2))
+        return tables[p, n][m]
+
+    for check, name in ((padic_duality_check, PADIC_FIXTURES),
+                        (seki_lifting_check, SEKI_FIXTURES)):
+        pinned = load_thresholds(name)
+        for k in indices_up_to_weight(3):
+            if not k:
+                continue
+            for n in (2, 3):
+                got = min_passing_prime(check, k, n, zeta=zeta)
+                assert got == pinned[(k, n)], (check, k, n)
+                if k.weight <= 2:
+                    assert min_passing_prime(check, k, n) == got
+    assert tables
 
 
 def test_packaged_thresholds_cover_the_grid():

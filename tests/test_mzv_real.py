@@ -10,6 +10,8 @@ difference tends to zero.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaflat import _kernels, mzv_real
 from zetaflat._kernels import harmonic_tree
@@ -192,6 +194,20 @@ def test_log2_known_values():
         assert log2_discretization_check(n).passed
 
 
+def test_fraction_str_renders_fractions_and_ints_as_before():
+    """Fractions and ints are rendered from their own numerator and
+    denominator, anything else through Fraction(q); either way the
+    string is that of Fraction(q), signs and zero included."""
+    values = [Fraction(0), Fraction(-0), Fraction(3, 4), Fraction(-3, 4),
+              Fraction(6, -8), Fraction(10 ** 40, 7), Fraction(-5), 0, -0,
+              7, -7, 10 ** 50, True, False, "3/4", "-6/8", 0.5, -2.25]
+    for q in values:
+        f = Fraction(q)
+        assert fraction_str(q) == f"{f.numerator}/{f.denominator}", q
+    assert [fraction_str(q) for q in (0, -7, Fraction(-3, 4))] == [
+        "0/1", "-7/1", "-3/4"]
+
+
 def test_convergence_row_rendering():
     rows = duality_convergence((3,), [16])
     assert isinstance(rows[0], ConvergenceRow)
@@ -273,6 +289,27 @@ def test_harmonic_tree_equals_endpoint_partial_sums():
                 want = Fraction(sum(front[:n]), scale)
                 assert Fraction(value, lcm_upto(n) ** sum(side)) == want, \
                     (side, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(exps=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       fences=st.lists(st.integers(0, TREE_GAP + 64), max_size=5),
+       top=st.integers(TREE_GAP - 2, TREE_GAP + 64),
+       repeats=st.integers(0, 3),
+       leaf=st.sampled_from([1, 3, 16]))
+def test_harmonic_tree_against_endpoint_dp(exps, fences, top, repeats, leaf):
+    """Differential test of the product tree against the endpoint DP:
+    any exponents of depth <= 4, sorted fences with repeats on both sides
+    of TREE_GAP, and leaves of 1, 3 or 16 steps, so that the diagonal
+    slots of leaves and of inner nodes both meet in products."""
+    fences = sorted(fences + [top] + fences[:repeats])
+    front, scale = endpoint_values(zeta_chain(exps), fences[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "LEAF_STEPS", leaf)
+        got = tree_values(exps, fences)
+    for n, value in zip(fences, got):
+        assert Fraction(value, lcm_upto(n) ** sum(exps)) \
+            == Fraction(sum(front[:n]), scale), n
 
 
 def test_harmonic_tree_edge_fences():

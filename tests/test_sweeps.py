@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from zetaflat import cli
 
 SUITES = ("main", "hoffman-identity", "telescope", "padic", "seki",
-          "duality-a", "antipode")
+          "duality-a", "antipode", "duality-r")
+
+# Admissible indices of depth <= 3 for duality-r: dual pairs, a self-dual
+# index, and (1,3,2), whose defect rises at N = 8.
+DUALITY_INDICES = ("3", "1,2", "2,2", "1,1,2", "4", "1,3,2", "2,1,3")
 
 
 @st.composite
@@ -21,7 +25,13 @@ def cut_grids(draw):
     """(tasks, cut points) of a small verify grid."""
     suite = draw(st.sampled_from(SUITES))
     argv = ["verify", suite, f"--max-weight={draw(st.integers(1, 3))}"]
-    if suite in ("main", "hoffman-identity", "telescope"):
+    if suite == "duality-r":
+        # Three fences or more, two of them above every depth.
+        lo = draw(st.integers(0, 3))
+        argv.append(f"--powers={lo}..{draw(st.integers(lo + 3, 7))}")
+        for k in draw(st.lists(st.sampled_from(DUALITY_INDICES), max_size=4)):
+            argv.append(f"--index={k}")
+    elif suite in ("main", "hoffman-identity", "telescope"):
         argv.append(f"--max-upper={draw(st.integers(1, 6))}")
         if suite == "main" and draw(st.booleans()):
             argv.append("--method=enum")

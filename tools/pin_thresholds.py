@@ -25,21 +25,40 @@ from zetaflat import active_backend
 from zetaflat.finite_padic import (
     PADIC_FIXTURES,
     SEKI_FIXTURES,
+    _walk,
     min_passing_prime,
     padic_duality_check,
     save_thresholds,
     seki_lifting_check,
 )
-from zetaflat.index_algebra import format_index, indices_up_to_weight
+from zetaflat.index_algebra import (
+    format_index,
+    indices_up_to_weight,
+    trie_order,
+)
 
 
-def sweep(check, label, max_weight, lo, hi):
+def residue_lookup(max_weight):
+    """A `zeta` lookup for the checks: at its first read of a pair (p, n)
+    it walks one table of every index of weight up to max_weight + n - 1,
+    all that a lifted check of weight up to max_weight reads, as
+    `residue_sweep` does for a verify run."""
+    tables = {}
+
+    def zeta(m, p, n):
+        if (p, n) not in tables:
+            tables[p, n] = _walk(p, n, trie_order(max_weight + n - 1))
+        return tables[p, n][m]
+    return zeta
+
+
+def sweep(check, label, max_weight, lo, hi, zeta):
     table = {}
     missing = []
     for k in indices_up_to_weight(max_weight):
         for n in (2, 3):
             t0 = time.perf_counter()
-            p0 = min_passing_prime(check, k, n, lo=lo, hi=hi)
+            p0 = min_passing_prime(check, k, n, lo=lo, hi=hi, zeta=zeta)
             dt = time.perf_counter() - t0
             if p0 is None:
                 missing.append((k, n))
@@ -59,10 +78,11 @@ def main():
     args = ap.parse_args()
 
     print(f"backend: {active_backend()}")
+    zeta = residue_lookup(args.max_weight)
     padic, miss1 = sweep(padic_duality_check, "padic", args.max_weight,
-                         args.lo, args.hi)
+                         args.lo, args.hi, zeta)
     seki, miss2 = sweep(seki_lifting_check, "seki", args.max_weight,
-                        args.lo, args.hi)
+                        args.lo, args.hi, zeta)
     p1 = save_thresholds(PADIC_FIXTURES, padic)
     p2 = save_thresholds(SEKI_FIXTURES, seki)
     print(f"wrote {len(padic)} records to {p1}")
