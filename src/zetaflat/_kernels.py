@@ -10,8 +10,8 @@ is a multiple of every denominator product, so every division below is
 exact.  For the residue kernel a row holds the inverse denominators.
 Both dynamic programs start from a given layer and return their final
 one, the value at each endpoint, so a chain can be extended one
-position at a time: `finite_padic` walks a trie of index prefixes that
-way mod p^n, and `mzv_real` a trie of reflected block forms exactly.
+position at a time, as `chainsum.trie_walk` extends it over a trie of
+indices.
 
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
 chain (what `zeta_chain` compiles to) and sorted fences.  It carries the

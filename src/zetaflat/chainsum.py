@@ -366,6 +366,36 @@ def eval_dp(spec: ChainSpec, upper) -> Fraction:
     return Fraction(sum(front), scale)
 
 
+def trie_walk(upper, steps, modulus=None):
+    """The final layer of the dynamic program at each node of a trie.
+
+    `steps` are the nodes in pre-order (see `trie_order`), each as
+    (depth, position): the node's chain is its parent's (the last node
+    before it at depth - 1, or the empty chain at depth 1) plus that
+    position, on the band [1, N - 1] for N = upper, entering strictly
+    or weakly as the position says.  Each distinct position is planned
+    once, as a one-position chain strict against both fences, and a
+    node's layer is its parent's extended by it through `dp_sum` (scaled
+    by lcm(1..N)^degree) or, with a modulus, through `dp_sum_mod`.
+    Yields each node's layer, which the walk reads again and so must not
+    be changed; the fence must be at least 2.
+    """
+    kernel = dp_sum if modulus is None else dp_sum_mod
+    plans = {}
+    layers = [[1] + [0] * upper]
+    for depth, pos in steps:
+        plan = plans.get(pos)
+        if plan is None:
+            rows, _, lbs, ubs = _plan(
+                ChainSpec((Position(pos.weight, True),)), upper, modulus)
+            scale = (modulus if modulus is not None
+                     else [lcm_upto(upper) ** pos.weight.degree])
+            plan = plans[pos] = rows, [pos.strict_before], lbs, ubs, scale
+        del layers[depth:]
+        layers.append(kernel(*plan, layers[-1]))
+        yield layers[-1]
+
+
 def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:
     """Sum the chain in Z/modulus.
 

@@ -426,14 +426,15 @@ def _pieces(tasks, jobs):
 
 def _reports(tasks, jobs):
     """The report of each task, in order, as soon as it is ready; under a
-    pool, each worker sweeps a piece and its reports arrive together."""
-    if jobs <= 1:
+    pool, each worker sweeps a piece and its reports arrive together.  A
+    grid of one piece is swept here, with no pool."""
+    pieces = _pieces(tasks, jobs) if jobs > 1 else [tasks]
+    if len(pieces) == 1:
         yield from _sweeps(tasks)
         return
     # Imported here: only a pool needs it, and it slows every start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    pieces = _pieces(tasks, jobs)
     with ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
         try:
             for reports in pool.map(_piece_reports, pieces):

@@ -33,15 +33,14 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from ._kernels import dp_sum
 from .chainsum import (
-    _plan,
     endpoint_values,
     eval_dp,
     flat_chain,
     lcm_upto,
     reflect_chain,
     tilde_chain,
+    trie_walk,
     zeta_chain,
 )
 from .index_algebra import Index, as_index, format_index
@@ -232,29 +231,6 @@ def telescope_report(k, upper, values, started):
                        values[0], last, started, notes={"stages": len(values)})
 
 
-def _prefix_walk(upper, nodes):
-    """{m: endpoint_values(zeta_chain(m), upper)} for every index m in `nodes`.
-
-    `nodes` are tuples closed under taking prefixes and sorted, so the
-    layer of a node's parent is the last one kept at the parent's depth
-    (see `trie_order`).  Each exponent e is planned once, as
-    zeta_chain((e,)) at the fence, and a node's layer is its parent's
-    extended by that one strict position.
-    """
-    lam = lcm_upto(upper)
-    plans = {}
-    layers = [[1] + [0] * upper]
-    fronts = {}
-    for m in nodes:
-        e = m[-1]
-        if e not in plans:
-            plans[e] = _plan(zeta_chain((e,)), upper)
-        del layers[len(m):]
-        layers.append(dp_sum(*plans[e], [lam ** e], layers[-1]))
-        fronts[m] = layers[-1], lam ** sum(m)
-    return fronts
-
-
 def telescope_sweep(tasks):
     """`telescope_report` of each (check, kwargs) task of `verify telescope`,
     in order, with the stage values of `telescope` read from tables that
@@ -262,8 +238,8 @@ def telescope_sweep(tasks):
 
     - left sides: every left side is a prefix of its index, and the
       endpoint values of zeta_chain(left) at v <= N are those at any
-      higher fence, so one walk of the prefix trie at the run's top
-      fence + 1 (`_prefix_walk`) gives every left layer and stage 0;
+      higher fence, so one `trie_walk` of the prefix trie at the run's
+      top fence + 1 gives every left layer and stage 0;
     - middle stages: at the first read of a (suffix, fence), one
       evaluation of its right side, on the fence's binomial cofactors
       (built once per fence), gives the stage of every route of the run
@@ -276,7 +252,8 @@ def telescope_sweep(tasks):
     At top weight W and top fence N the left layers and the walks each
     hold about 2^W * W * N^2 bits, and the stages waiting to be read up
     to W / 3 times that.  Past FLAT_TABLE_BITS for 2^W * W^2 * N^2, each
-    task runs `telescope` instead, as `main_sweep` reads past its budget.
+    task runs `telescope` instead, as `main_sweep` reads past its budget;
+    so does a route read again, whose stages the first read took.
     """
     routes = [(as_index(kwargs["k"]), kwargs["upper"]) for _, kwargs in tasks]
     top = max(n for _, n in routes)
@@ -287,12 +264,15 @@ def telescope_sweep(tasks):
             values = [stage.value for stage in telescope(k, n).stages]
             yield telescope_report(k, n, values, started)
         return
-    lefts = _prefix_walk(top + 1, sorted(
-        {k[:i] for k, _ in routes for i in range(1, k.depth + 1)}))
+    prefixes = sorted({k[:i] for k, _ in routes for i in range(1, k.depth + 1)})
+    steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in prefixes}}
+    layers = trie_walk(top + 1, ((len(m), steps[m[-1]]) for m in prefixes))
+    lam = lcm_upto(top + 1)
+    lefts = {m: (layer, lam ** sum(m)) for m, layer in zip(prefixes, layers)}
     nodes = sorted({node for k, _ in routes for node in _branch(k)})
-    readers, last = {}, {}
-    for i, (k, n) in enumerate(routes):
-        last[n] = i
+    last = {n: i for i, (_, n) in enumerate(routes)}
+    readers = {}
+    for k, n in dict.fromkeys(routes):
         for j in range(1, k.depth):
             readers.setdefault((k[j:], n), []).append(k[:j])
     fences, middles = {}, {}
@@ -301,17 +281,20 @@ def telescope_sweep(tasks):
         if n not in fences:
             fences[n] = _binomials(n), lcm_upto(n + 1), _flat_walk(n + 1, nodes)
         binomials, lcm_n, flats = fences[n] if last[n] > i else fences.pop(n)
-        front, scale = lefts[k]
-        values = [Fraction(sum(front[:n + 1]), scale)]
-        for j in range(k.depth - 1, 0, -1):
-            right = k[j:]
-            if (right, n) in readers:  # its first read
-                stage_lefts = readers.pop((right, n))
-                middles.update(zip(
-                    ((left, right, n) for left in stage_lefts),
-                    _connected_sums(right, n, binomials,
-                                    [lefts[left] for left in stage_lefts])))
-            values.append(middles.pop((k[:j], right, n)))
-        values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
+        if k not in flats:  # a route read before: its stages are taken
+            values = [stage.value for stage in telescope(k, n).stages]
+        else:
+            front, scale = lefts[k]
+            values = [Fraction(sum(front[:n + 1]), scale)]
+            for j in range(k.depth - 1, 0, -1):
+                right = k[j:]
+                if (right, n) in readers:  # its first read
+                    stage_lefts = readers.pop((right, n))
+                    middles.update(zip(
+                        ((left, right, n) for left in stage_lefts),
+                        _connected_sums(right, n, binomials,
+                                        [lefts[left] for left in stage_lefts])))
+                values.append(middles.pop((k[:j], right, n)))
+            values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
         del binomials, flats  # past the fence's last task, its tables go
         yield telescope_report(k, n, values, started)

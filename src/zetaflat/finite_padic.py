@@ -33,15 +33,14 @@ from functools import lru_cache
 from math import comb
 from pathlib import Path
 
-from ._kernels import dp_sum_mod
 from .chainsum import (
     Residue,
-    _plan,
     endpoint_values,
     eval_dp_mod,
     flat_chain,
     flat_support_chain,
     hoffman_weak_chain,
+    trie_walk,
     zeta_chain,
 )
 from .index_algebra import (
@@ -119,25 +118,15 @@ def _checked(k, p, n):
 def _walk(p, n, nodes):
     """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`.
 
-    `nodes` are tuples closed under taking prefixes and sorted, which is
-    the pre-order of a depth-first walk over their trie (see
-    `trie_order`), so the layer of a node's parent is the last one kept
-    at the parent's depth.  Each exponent is planned once, as the
-    one-position chain zeta_chain((e,)) at fence p: its row of 1/v^e,
-    its band [1, p - 1] and its unit check.
+    `nodes` are tuples closed under taking prefixes and sorted, the
+    pre-order of their trie by prefix (see `trie_order`), so each one is
+    a `trie_walk` step at depth len(m): the position of zeta_chain((e,)),
+    e its last part.
     """
     mod = p ** n
-    plans = {}
-    layers = [[1] + [0] * p]
-    values = {}
-    for m in nodes:
-        e = m[-1]
-        if e not in plans:
-            plans[e] = _plan(zeta_chain((e,)), p, mod)
-        del layers[len(m):]
-        layers.append(dp_sum_mod(*plans[e], mod, layers[-1]))
-        values[m] = sum(layers[-1]) % mod
-    return values
+    steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in nodes}}
+    layers = trie_walk(p, ((len(m), steps[m[-1]]) for m in nodes), mod)
+    return {m: sum(layer) % mod for m, layer in zip(nodes, layers)}
 
 
 @lru_cache(maxsize=1 << 14)

@@ -200,10 +200,11 @@ def indices_up_to_weight(w) -> list:
 def trie_order(w) -> tuple:
     """All nonempty indices of weight <= w, as plain tuples in lex order.
 
-    Two tries over these indices are walked in this order, one layer of
-    a dynamic program per node, kept on a stack by depth:
-    - by prefix (residues mod p^n): a node's parent drops its last part,
-      and its depth is its length;
+    `chainsum.trie_walk` walks two tries over these indices in this
+    order, one layer of a dynamic program per node, kept on a stack by
+    depth:
+    - by prefix (strict sums, exact or mod p^n): a node's parent drops
+      its last part, and its depth is its length;
     - by weight (reflected block forms): a node's parent lowers its last
       part by one, or drops it when it is 1, and its depth is its weight.
     Under either rule a parent sorts before its child, and the

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._kernels import dp_sum, harmonic_tree
+from ._kernels import harmonic_tree
 from .chainsum import (
     ChainSpec,
-    _plan,
     endpoint_values,
     equality_strata,
     eval_dp,
@@ -31,6 +30,7 @@ from .chainsum import (
     lcm_upto,
     reflect_chain,
     riemann_chain,
+    trie_walk,
     zeta_chain,
     zeta_star_chain,
 )
@@ -102,28 +102,23 @@ def zeta_star_trunc(k, upper, method="dp") -> Fraction:
     return _eval(zeta_star_chain(k), upper, method)
 
 
+# The two steps of the weight trie, a block opening (strict, 1/(N - n))
+# and a continuation (weak, 1/n): the positions of flat_chain((2,)).
+_OPENING, _CONTINUATION = flat_chain((2,)).positions
+
+
 def _flat_walk(upper, nodes):
     """{k: zeta_flat(k, N) * lcm(1..N)^weight(k)} for k in `nodes`, N = upper.
 
     The block form of k is that of its parent in the weight trie (see
     `trie_order`) plus one position: a block opening, strict with factor
     1/(N - n), when k ends in 1, else a weak continuation with factor
-    1/n.  Those are the two positions of flat_chain((2,)), planned once
-    at the fence on the band [1, N - 1], and a node's layer is its
-    parent's, extended through `dp_sum` by one of them.  `nodes` must be
-    closed under parents and in trie order, and the fence at least 2.
+    1/n.  So each node is a `trie_walk` step at depth weight(k).  `nodes`
+    must be closed under parents and in trie order, and the fence at
+    least 2.
     """
-    plan = _plan(flat_chain((2,)), upper)
-    opening, continuation = (tuple([col[i]] for col in plan) for i in (0, 1))
-    lams = [lcm_upto(upper)]
-    layers = [[1] + [0] * upper]
-    values = {}
-    for k in nodes:
-        del layers[sum(k):]
-        layers.append(dp_sum(*(opening if k[-1] == 1 else continuation),
-                             lams, layers[-1]))
-        values[k] = sum(layers[-1])
-    return values
+    steps = ((sum(k), _OPENING if k[-1] == 1 else _CONTINUATION) for k in nodes)
+    return {k: sum(layer) for k, layer in zip(nodes, trie_walk(upper, steps))}
 
 
 def _branch(k):

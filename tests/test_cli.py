@@ -269,6 +269,44 @@ def test_verify_duality_r_builds_each_column_once(argv, code, trees, digest,
         assert (got, calls, output_digest(out)) == (code, trees, digest)
 
 
+# One small run of each suite, and three more: `main` on the enumeration
+# oracle, a `padic` grid past the pinned thresholds (its missing entries
+# fail) and a run under a pool.  The digests are those of the package
+# before its three trie walks became `chainsum.trie_walk`, so a refactor
+# that changes any report, verdict or exit code fails here.
+PINNED_RUNS = [
+    (["main", "--max-weight", "3", "--max-upper", "6"], 0, "4ba07ea5ff456959"),
+    (["main", "--max-weight", "3", "--max-upper", "6", "--method", "enum"], 0,
+     "4ba07ea5ff456959"),
+    (["transport", "--max-upper", "6"], 0, "a0a29f84ba9de407"),
+    (["telescope", "--max-weight", "3", "--max-upper", "6"], 0,
+     "07b01226c3262d6d"),
+    (["duality-r", "--powers", "3..6"], 0, "f2737f52ea1c5843"),
+    (["duality-a", "--max-weight", "3", "--primes", "3..13"], 0,
+     "4a6f10365bea24bc"),
+    (["antipode", "--max-weight", "3", "--primes", "3..13"], 0,
+     "46e021a576764df0"),
+    (["hoffman-identity", "--max-weight", "3", "--max-upper", "6"], 0,
+     "8ce7f38681e0feef"),
+    (["padic", "--max-weight", "3", "--primes", "3..13"], 0, "e9286a8d70d67a7a"),
+    (["seki", "--max-weight", "3", "--primes", "3..13"], 0, "888760a3281d8f3a"),
+    (["log2", "--max-upper", "10"], 0, "3250a7eec8f055fa"),
+    (["padic", "--max-weight", "6", "--primes", "3..7", "--n-values", "2"], 1,
+     "6a9b446c86ef622e"),
+    (["main", "--max-weight", "4", "--max-upper", "8", "--jobs", "2"], 0,
+     "75bddc3821218d34"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_RUNS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_RUNS])
+def test_pinned_report_digests(argv, code, digest, capsys):
+    """The --json reports (without elapsed_ms), the summary line and the
+    exit code of each run are those pinned."""
+    got, out, err = run_cli(["verify", *argv, "--json"], capsys)
+    assert (got, output_digest(out + err)) == (code, digest)
+
+
 def test_duality_convergence_keeps_no_columns(monkeypatch):
     """A library call computes both of its columns on every call."""
     calls = []
@@ -571,9 +609,12 @@ class RecordingPool:
     (["padic", "--max-weight", "1", "--primes", "3..13"], 1),
     (["padic", "--max-weight", "2", "--primes", "3..13"], 3),
     (["main", "--max-weight", "2", "--max-upper", "3"], 3),
+    (["main", "--max-weight", "1", "--max-upper", "3"], 1),
 ])
 def test_pool_starts_no_more_workers_than_pieces(argv, workers, monkeypatch,
                                                  capsys):
+    """`workers` is the number of pieces; a grid of one piece is swept
+    without a pool."""
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -582,7 +623,7 @@ def test_pool_starts_no_more_workers_than_pieces(argv, workers, monkeypatch,
     _, seq, _ = run_cli(["verify"] + argv, capsys)
     code, par, _ = run_cli(["verify"] + argv + ["--jobs", "8"], capsys)
     assert code == 0 and par == seq
-    assert RecordingPool.asked == [workers]
+    assert RecordingPool.asked == ([workers] if workers > 1 else [])
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():

@@ -264,10 +264,10 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
     telescoped alone."""
     # The package exports the function connected_sum under the module's name.
     module = sys.modules["zetaflat.connected_sum"]
-    chains, rights, walks = Counter(), [], {}
+    chains, rights, walks, lefts = Counter(), [], {}, []
     real_values = module.endpoint_values
     real_walk = module._flat_walk
-    real_prefixes = module._prefix_walk
+    real_prefixes = module.trie_walk
 
     def endpoint_values(spec, upper):
         chains[spec, upper] += 1
@@ -280,16 +280,18 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
         walks[upper - 1] = weakref.ref(walk := _Walk(real_walk(upper, nodes)))
         return walk
 
-    def prefix_walk(upper, nodes):
-        walks["prefixes"] = weakref.ref(walk := _Walk(real_prefixes(upper, nodes)))
-        return walk
+    def prefix_walk(upper, steps):
+        # The left sides' walk: its layers are watched one by one.
+        for layer in real_prefixes(upper, steps):
+            lefts.append(weakref.ref(layer := _Table(layer)))
+            yield layer
 
     tasks = _telescope_tasks(4, 8)
     alone = [fn(**kwargs) for fn, kwargs in tasks]
     last = {kwargs["upper"]: i for i, (_, kwargs) in enumerate(tasks)}
     monkeypatch.setattr(module, "endpoint_values", endpoint_values)
     monkeypatch.setattr(module, "_flat_walk", flat_walk)
-    monkeypatch.setattr(module, "_prefix_walk", prefix_walk)
+    monkeypatch.setattr(module, "trie_walk", prefix_walk)
     for i, (want, report) in enumerate(
             zip(alone, telescope_sweep(tasks), strict=True)):
         assert report.passed
@@ -299,8 +301,9 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
     suffixes = {k[j:] for k in indices_up_to_weight(4) for j in range(1, len(k))}
     assert chains == Counter({(reflect_chain(tilde_chain(s)), n): 1
                               for s in suffixes for n in range(1, 9)})
-    assert sorted(walks, key=str) == [*range(1, 9), "prefixes"]
+    assert sorted(walks) == [*range(1, 9)]
     assert all(ref() is None for ref in walks.values())
+    assert len(lefts) == 15 and all(ref() is None for ref in lefts)
 
 
 def test_sweep_past_the_table_budget(monkeypatch):
@@ -309,8 +312,21 @@ def test_sweep_past_the_table_budget(monkeypatch):
     module = sys.modules["zetaflat.connected_sum"]
     monkeypatch.setattr(module, "FLAT_TABLE_BITS", 0)
     monkeypatch.setattr(module, "_flat_walk", None)
-    monkeypatch.setattr(module, "_prefix_walk", None)
+    monkeypatch.setattr(module, "trie_walk", None)
     tasks = _telescope_tasks(3, 4)
     for (fn, kwargs), report in zip(tasks, telescope_sweep(tasks), strict=True):
         want = fn(**kwargs)
         assert report.passed and (report.lhs, report.rhs) == (want.lhs, want.rhs)
+
+
+def test_sweep_reads_a_route_again():
+    """A route read twice, or again after other routes in any order, gets
+    the report of the route telescoped alone each time."""
+    twice = [(_telescope_report, {"k": Index((2, 1)), "upper": 3})] * 2
+    shuffled = random.Random(5).choices(_telescope_tasks(3, 4), k=40)
+    for tasks in (twice, shuffled):
+        for (fn, kwargs), report in zip(tasks, telescope_sweep(tasks),
+                                        strict=True):
+            want = fn(**kwargs)
+            assert (report.lhs, report.rhs, report.passed) == (
+                want.lhs, want.rhs, True)

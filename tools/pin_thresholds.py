@@ -40,8 +40,9 @@ from zetaflat.index_algebra import (
 
 def residue_lookup(max_weight):
     """A `zeta` lookup for the checks: at its first read of a pair (p, n)
-    it walks one table of every index of weight up to max_weight + n - 1,
-    all that a lifted check of weight up to max_weight reads, as
+    it fills one table of every index of weight up to max_weight + n - 1,
+    all that a lifted check of weight up to max_weight reads, by one
+    `chainsum.trie_walk` of their prefix trie mod p^n (`_walk`), as
     `residue_sweep` does for a verify run."""
     tables = {}
 
