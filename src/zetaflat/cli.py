@@ -57,6 +57,7 @@ from .mzv_real import (
     main_identity_check,
     main_sweep,
     riemann_sum,
+    runs,
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
@@ -394,7 +395,7 @@ def _sweeps(tasks):
         if sweep is None:
             yield from (fn(**kwargs) for fn, kwargs in run)
         else:
-            yield from sweep(list(run))
+            yield from sweep(run)
 
 
 def _piece_reports(piece):
@@ -402,26 +403,14 @@ def _piece_reports(piece):
 
 
 def _pieces(tasks, jobs):
-    """`tasks` in contiguous pieces for `jobs` workers, cut only where the
-    index changes (a task without one stands alone).  Each piece of a
-    grid over primes walks every (prime, exponent) trie again, so such a
-    grid takes `jobs` pieces.  Any other grid, of largest weight W, takes pieces of
-    about W / jobs indices: the parent holds about `jobs` pieces' reports
-    at once, so about W indices' worth.
-    """
-    runs = [list(run) for _, run in
-            groupby(tasks, lambda task: task[1].get("k", task))]
+    """`tasks` in `runs` for `jobs` workers: `jobs` pieces over primes (each
+    walks every (prime, exponent) trie again), else about W / jobs indices
+    each, W the largest weight, so the parent holds W indices' reports."""
     count = jobs
     if not any("p" in kwargs for _, kwargs in tasks):
-        count = jobs * len(runs) // max(
-            (kwargs["k"].weight for _, kwargs in tasks if "k" in kwargs),
-            default=1)
-    pieces = [[]]
-    for run in runs:
-        if len(pieces[-1]) * count >= len(tasks):
-            pieces.append([])
-        pieces[-1] += run
-    return pieces
+        weight = max((kw["k"].weight for _, kw in tasks if "k" in kw), default=1)
+        count = jobs * sum(1 for _ in runs(tasks, lambda run, group: False)) // weight
+    return list(runs(tasks, lambda run, group: len(run) * count < len(tasks)))
 
 
 def _reports(tasks, jobs):

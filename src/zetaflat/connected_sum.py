@@ -44,7 +44,7 @@ from .chainsum import (
     zeta_chain,
 )
 from .index_algebra import Index, as_index, format_index
-from .mzv_real import FLAT_TABLE_BITS, _branch, _flat_walk
+from .mzv_real import _flat_walk, budget_runs
 from .reports import fraction_str, make_report
 
 
@@ -232,69 +232,46 @@ def telescope_report(k, upper, values, started):
 
 
 def telescope_sweep(tasks):
-    """`telescope_report` of each (check, kwargs) task of `verify telescope`,
-    in order, with the stage values of `telescope` read from tables that
-    the run's routes share:
-
-    - left sides: every left side is a prefix of its index, and the
-      endpoint values of zeta_chain(left) at v <= N are those at any
-      higher fence, so one `trie_walk` of the prefix trie at the run's
-      top fence + 1 gives every left layer and stage 0;
-    - middle stages: at the first read of a (suffix, fence), one
-      evaluation of its right side, on the fence's binomial cofactors
-      (built once per fence), gives the stage of every route of the run
-      that ends in that suffix (`_connected_sums`), and is dropped; each
-      stage is popped as it is read;
-    - stage r: one `_flat_walk` per fence + 1 over the branches of the
-      run's indices, each value popped as it is read, and the walk
-      dropped after the fence's last task.
-
-    At top weight W and top fence N the left layers and the walks each
-    hold about 2^W * W * N^2 bits, and the stages waiting to be read up
-    to W / 3 times that.  Past FLAT_TABLE_BITS for 2^W * W^2 * N^2, each
-    task runs `telescope` instead, as `main_sweep` reads past its budget;
-    so does a route read again, whose stages the first read took.
-    """
-    routes = [(as_index(kwargs["k"]), kwargs["upper"]) for _, kwargs in tasks]
-    top = max(n for _, n in routes)
-    weight = max(k.weight for k, _ in routes)
-    if 2 ** weight * weight ** 2 * (top + 1) ** 2 > FLAT_TABLE_BITS:
-        for k, n in routes:
+    """`telescope_report` of each (check, kwargs) task, in order, swept in
+    `budget_runs`.  In a run, one `trie_walk` of the prefix trie at the top
+    fence + 1 gives every left layer and stage 0 (endpoint values of
+    zeta_chain(left) at v <= N do not depend on the fence); the first read
+    of a (suffix, fence) evaluates its right side, on the fence's binomial
+    cofactors, for every route ending in it (`_connected_sums`); stage r
+    comes from one `_flat_walk` per fence + 1 that keeps the run's indices.
+    Stages are popped as read, and a fence's tables go after its last task
+    in the run.  A route read again, its stages taken, runs `telescope`."""
+    for run, ks, nodes, last in budget_runs(tasks, "telescope"):
+        routes = [(as_index(kwargs["k"]), kwargs["upper"]) for _, kwargs in run]
+        top = max(last) + 1
+        prefixes = sorted({k[:i] for k in ks for i in range(1, len(k) + 1)})
+        steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in prefixes}}
+        layers = trie_walk(top, ((len(m), steps[m[-1]]) for m in prefixes))
+        lefts = {m: (layer, lcm_upto(top) ** sum(m)) for m, layer in zip(prefixes, layers)}
+        readers, fences, middles = {}, {}, {}
+        for k, n in dict.fromkeys(routes):
+            for j in range(1, k.depth):
+                readers.setdefault((k[j:], n), []).append(k[:j])
+        for i, (k, n) in enumerate(routes):
             started = time.perf_counter()
-            values = [stage.value for stage in telescope(k, n).stages]
+            if n not in fences:
+                fences[n] = _binomials(n), lcm_upto(n + 1), _flat_walk(n + 1, nodes, ks)
+            binomials, lcm_n, flats = fences[n] if last[n] > i else fences.pop(n)
+            if k not in flats:  # a route read before: its stages are taken
+                values = [stage.value for stage in telescope(k, n).stages]
+            else:
+                front, scale = lefts[k]
+                values = [Fraction(sum(front[:n + 1]), scale)]
+                for j in range(k.depth - 1, 0, -1):
+                    right = k[j:]
+                    if (right, n) in readers:  # its first read
+                        stage_lefts = readers.pop((right, n))
+                        middles.update(zip(
+                            ((left, right, n) for left in stage_lefts),
+                            _connected_sums(right, n, binomials,
+                                            [lefts[left] for left in stage_lefts])))
+                    values.append(middles.pop((k[:j], right, n)))
+                values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
+            del binomials, flats  # past the fence's last task, its tables go
             yield telescope_report(k, n, values, started)
-        return
-    prefixes = sorted({k[:i] for k, _ in routes for i in range(1, k.depth + 1)})
-    steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in prefixes}}
-    layers = trie_walk(top + 1, ((len(m), steps[m[-1]]) for m in prefixes))
-    lam = lcm_upto(top + 1)
-    lefts = {m: (layer, lam ** sum(m)) for m, layer in zip(prefixes, layers)}
-    nodes = sorted({node for k, _ in routes for node in _branch(k)})
-    last = {n: i for i, (_, n) in enumerate(routes)}
-    readers = {}
-    for k, n in dict.fromkeys(routes):
-        for j in range(1, k.depth):
-            readers.setdefault((k[j:], n), []).append(k[:j])
-    fences, middles = {}, {}
-    for i, (k, n) in enumerate(routes):
-        started = time.perf_counter()
-        if n not in fences:
-            fences[n] = _binomials(n), lcm_upto(n + 1), _flat_walk(n + 1, nodes)
-        binomials, lcm_n, flats = fences[n] if last[n] > i else fences.pop(n)
-        if k not in flats:  # a route read before: its stages are taken
-            values = [stage.value for stage in telescope(k, n).stages]
-        else:
-            front, scale = lefts[k]
-            values = [Fraction(sum(front[:n + 1]), scale)]
-            for j in range(k.depth - 1, 0, -1):
-                right = k[j:]
-                if (right, n) in readers:  # its first read
-                    stage_lefts = readers.pop((right, n))
-                    middles.update(zip(
-                        ((left, right, n) for left in stage_lefts),
-                        _connected_sums(right, n, binomials,
-                                        [lefts[left] for left in stage_lefts])))
-                values.append(middles.pop((k[:j], right, n)))
-            values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
-        del binomials, flats  # past the fence's last task, its tables go
-        yield telescope_report(k, n, values, started)
+        del lefts  # before the next run's

@@ -211,7 +211,8 @@ def hoffman_identity_sweep(tasks):
     """`hoffman_identity_check` for each (check, kwargs) task, in order;
     each index reads its fences from one pair of dynamic programs at the
     top fence of the tasks."""
-    top = max(kwargs["upper"] for _, kwargs in tasks)
+    tasks = list(tasks)
+    top = max((kwargs["upper"] for _, kwargs in tasks), default=0)
     fronts_of = None
     for _, kwargs in tasks:
         started = time.perf_counter()
@@ -289,7 +290,8 @@ def residue_sweep(tasks):
     w the largest weight of the tasks: all that the lifted checks read.
     The pair's checks read their residues from that table.
     """
-    reach = max(as_index(kwargs["k"]).weight for _, kwargs in tasks) - 1
+    tasks = list(tasks)
+    reach = max((as_index(kwargs["k"]).weight for _, kwargs in tasks), default=0) - 1
     lookups = {}
     for check, kwargs in tasks:
         if "p" not in kwargs:

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from ._kernels import harmonic_tree
 from .chainsum import (
@@ -107,18 +108,18 @@ def zeta_star_trunc(k, upper, method="dp") -> Fraction:
 _OPENING, _CONTINUATION = flat_chain((2,)).positions
 
 
-def _flat_walk(upper, nodes):
-    """{k: zeta_flat(k, N) * lcm(1..N)^weight(k)} for k in `nodes`, N = upper.
+def _flat_walk(upper, nodes, keep=None):
+    """{k: zeta_flat(k, N) * lcm(1..N)^weight(k)} for k in `nodes`, N = upper,
+    or only for those k also in `keep`.
 
-    The block form of k is that of its parent in the weight trie (see
-    `trie_order`) plus one position: a block opening, strict with factor
-    1/(N - n), when k ends in 1, else a weak continuation with factor
-    1/n.  So each node is a `trie_walk` step at depth weight(k).  `nodes`
-    must be closed under parents and in trie order, and the fence at
-    least 2.
-    """
+    The block form of k is its parent's in the weight trie (see
+    `trie_order`) plus a block opening, strict with factor 1/(N - n), if k
+    ends in 1, else a weak continuation with factor 1/n: a `trie_walk` step
+    at depth weight(k).  `nodes` must be closed under parents and in trie
+    order, and the fence at least 2."""
     steps = ((sum(k), _OPENING if k[-1] == 1 else _CONTINUATION) for k in nodes)
-    return {k: sum(layer) for k, layer in zip(nodes, trie_walk(upper, steps))}
+    return {k: sum(layer) for k, layer in zip(nodes, trie_walk(upper, steps))
+            if keep is None or k in keep}
 
 
 def _branch(k):
@@ -126,12 +127,48 @@ def _branch(k):
     return [k[:i] + (j,) for i, part in enumerate(k) for j in range(1, part + 1)]
 
 
-# A sweep keeps a table at every fence from its first index to its last,
-# and at top weight W a table at fence N holds about 2^W * W * 1.3 N bits.
-# Tables are kept only at fences with 2^W * W * N^2 <= FLAT_TABLE_BITS:
-# N <= 256 at W = 8, where they peak at 10 MiB of values (17 MB resident).
-# Above, a read walks its own branch.
+def runs(tasks, fits):
+    """`tasks` cut only where the index changes (a task without one stands
+    alone) into runs: `fits(run, group)` is asked of each index's group in
+    turn, the first with an empty run, and a group that fails opens a run."""
+    run = []
+    for _, group in groupby(tasks, lambda task: task[1].get("k", task)):
+        if not fits(run, group := list(group)) and run:
+            yield run
+            run = []
+        run += group
+    if run:
+        yield run
+
+
+# Bits a sweep's tables hold over a run of top weight W and top fence N
+# whose branches cover `nodes` weight-trie nodes (2^W - 1 on a full grid):
+# a table per fence in main, up to W times as much in telescope's left
+# layers and waiting stages.  So weight 8 is one run up to N = 256 in main
+# (10 MiB of values) and N = 89 in telescope; an index past it runs alone.
+TABLE_BITS = {"main": lambda nodes, w, n: nodes * w * n ** 2,
+              "telescope": lambda nodes, w, n: nodes * w ** 2 * (n + 1) ** 2}
 FLAT_TABLE_BITS = 1 << 27
+
+
+def budget_runs(tasks, sweep):
+    """`runs` of `tasks` within FLAT_TABLE_BITS by the estimate of `sweep`, each
+    with {index: place}, its nodes in trie order and its fences' last tasks."""
+    covered, tops = set(), (0, 0)
+
+    def fits(run, group):
+        nonlocal covered, tops
+        k = tuple(group[0][1]["k"])
+        own = set(_branch(k)), (sum(k), max(kw["upper"] for _, kw in group))
+        grown = covered | own[0], tuple(map(max, tops, own[1]))
+        joins = TABLE_BITS[sweep](len(grown[0]), *grown[1]) <= FLAT_TABLE_BITS
+        covered, tops = grown if joins else own
+        return joins
+
+    for run in runs(tasks, fits):
+        ks = {k: i for i, k in enumerate({tuple(kw["k"]): 0 for _, kw in run})}
+        yield run, ks, sorted({node for k in ks for node in _branch(k)}), {
+            kwargs["upper"]: i for i, (_, kwargs) in enumerate(run)}
 
 
 def zeta_flat(k, upper, method="dp") -> Fraction:
@@ -163,34 +200,29 @@ def main_identity_check(k, upper, method="dp"):
 
 
 def main_sweep(tasks):
-    """`main_identity_check` for each (check, kwargs) task, in order.
-
-    Each index reads its strict sums from one `zeta_trunc_column` up to
-    the top fence of the tasks.  Each fence walks the union of the tasks'
-    branches once, at its first read, and each read takes its value out
-    of that walk, unless the fence is past FLAT_TABLE_BITS for the tasks'
-    largest weight; then each read walks its own branch.  The walk's
-    lcm(1..N) is kept with it for the reads' denominators.
-    """
-    top = max(kwargs["upper"] for _, kwargs in tasks)
-    ks = {tuple(kwargs["k"]) for _, kwargs in tasks}
-    weight = max(map(sum, ks))
-    nodes = sorted({node for k in ks for node in _branch(k)})
-    column_of, tables, lcms = None, {}, {}
-    for _, kwargs in tasks:
-        started = time.perf_counter()
-        k, upper, method = as_index(kwargs["k"]), kwargs["upper"], kwargs["method"]
-        if k != column_of:
-            column_of, column = k, zeta_trunc_column(k, range(top + 1), method)
-        if method == "dp" and upper > 1 and upper not in tables:
-            fits = 2 ** weight * weight * upper ** 2 <= FLAT_TABLE_BITS
-            tables[upper] = _flat_walk(upper, nodes) if fits else {}
-            lcms[upper] = lcm_upto(upper)
-        value = tables.get(upper, {}).pop(tuple(k), None)
-        flat = (zeta_flat(k, upper, method) if value is None
-                else Fraction(value, lcms[upper] ** k.weight))
-        yield make_report("main", {"k": format_index(k), "N": upper},
-                          column[upper], flat, started)
+    """`main_identity_check` for each (check, kwargs) task, in order, swept
+    in `budget_runs`.  An index reads its strict sums from one
+    `zeta_trunc_column` to its run's top fence.  A fence's first read in a
+    run walks the run's branches; the fence keeps lcm(1..N) and a list of
+    the run's indices' values, each taken as read, until its last read.
+    Any other read (again, --method enum, fences 0 and 1) takes `zeta_flat`."""
+    for run, ks, nodes, last in budget_runs(tasks, "main"):
+        top, column_of, tables = max(last), None, {}
+        for i, (_, kwargs) in enumerate(run):
+            started = time.perf_counter()
+            k, upper, method = as_index(kwargs["k"]), kwargs["upper"], kwargs["method"]
+            if k != column_of:
+                column_of, column = k, zeta_trunc_column(k, range(top + 1), method)
+            if upper not in tables:
+                dp = method == "dp" and upper > 1
+                values = _flat_walk(upper, nodes, ks) if dp else {}
+                tables[upper] = list(map(values.get, ks)), lcm_upto(upper)
+            values, lam = tables[upper] if last[upper] > i else tables.pop(upper)
+            value, values[ks[k]] = values[ks[k]], None
+            flat = (zeta_flat(k, upper, method) if value is None
+                    else Fraction(value, lam ** k.weight))
+            yield make_report("main", {"k": format_index(k), "N": upper},
+                              column[upper], flat, started)
 
 
 def riemann_sum(k, upper, method="dp") -> Fraction:

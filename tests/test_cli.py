@@ -307,6 +307,28 @@ def test_pinned_report_digests(argv, code, digest, capsys):
     assert (got, output_digest(out + err)) == (code, digest)
 
 
+# Budgets that cut the pinned weight-3 runs of main (756 bits uncut) and
+# telescope (3087 bits) into one run, two runs (the last index alone) and
+# one run per index.
+@pytest.mark.parametrize("suite, budget, runs", [
+    ("main", mzv_real.FLAT_TABLE_BITS, 1), ("main", 700, 2), ("main", 0, 7),
+    ("telescope", mzv_real.FLAT_TABLE_BITS, 1), ("telescope", 3000, 2),
+    ("telescope", 0, 7),
+])
+def test_pinned_digests_under_budget_cuts(suite, budget, runs, monkeypatch,
+                                          capsys):
+    """However `budget_runs` cuts a sweep, its reports, summary line and
+    exit code are the pinned ones."""
+    argv, code, digest = next(run for run in PINNED_RUNS if run[0] == [
+        suite, "--max-weight", "3", "--max-upper", "6"])
+    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", budget)
+    args = cli.build_parser().parse_args(["verify", *argv])
+    tasks = cli.verify_tasks(args, cli.caps_of(args))
+    assert len(list(mzv_real.budget_runs(tasks, suite))) == runs
+    got, out, err = run_cli(["verify", *argv, "--json"], capsys)
+    assert (got, output_digest(out + err)) == (code, digest)
+
+
 def test_duality_convergence_keeps_no_columns(monkeypatch):
     """A library call computes both of its columns on every call."""
     calls = []

@@ -275,9 +275,9 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
         rights.append(weakref.ref(front := _Table(front)))
         return front, scale
 
-    def flat_walk(upper, nodes):
+    def flat_walk(upper, nodes, *keep):
         # Stage r of a route at fence N is a walk at N + 1.
-        walks[upper - 1] = weakref.ref(walk := _Walk(real_walk(upper, nodes)))
+        walks[upper - 1] = weakref.ref(walk := _Walk(real_walk(upper, nodes, *keep)))
         return walk
 
     def prefix_walk(upper, steps):
@@ -307,16 +307,42 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
 
 
 def test_sweep_past_the_table_budget(monkeypatch):
-    """Past FLAT_TABLE_BITS the sweep keeps no table: each route takes
-    the per-stage path of `telescope`."""
+    """Under a budget of 400 bits, `budget_runs` cuts a telescope grid of
+    weight 3 and fences 1..4 only where the index changes: the indices of
+    weight <= 2 in one run (3 nodes * 2^2 * 5^2 = 300 bits), and each index
+    of weight 3 in a run of its own, past the budget alone (3 * 3^2 * 25 =
+    675).  Each run walks its own prefixes once, at its top fence + 1, and
+    its own branches once per fence + 1, a one-index run too, keeping the
+    values of its own indices only; no route runs `telescope`, and every
+    report equals its route telescoped alone."""
     module = sys.modules["zetaflat.connected_sum"]
-    monkeypatch.setattr(module, "FLAT_TABLE_BITS", 0)
-    monkeypatch.setattr(module, "_flat_walk", None)
-    monkeypatch.setattr(module, "trie_walk", None)
+    mzv_real = sys.modules["zetaflat.mzv_real"]
     tasks = _telescope_tasks(3, 4)
-    for (fn, kwargs), report in zip(tasks, telescope_sweep(tasks), strict=True):
-        want = fn(**kwargs)
+    alone = [fn(**kwargs) for fn, kwargs in tasks]
+    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 400)
+    runs = [list(dict.fromkeys(kwargs["k"] for _, kwargs in run))
+            for run, *_ in mzv_real.budget_runs(tasks, "telescope")]
+    assert runs == [[(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
+    prefixes, flats = [], []
+    real_prefixes, real_flats = module.trie_walk, module._flat_walk
+
+    def prefix_walk(upper, steps):
+        prefixes.append((upper, len(steps := list(steps))))
+        return real_prefixes(upper, steps)
+
+    def flat_walk(upper, nodes, *keep):
+        flats.append((upper, nodes, sorted(walk := real_flats(upper, nodes, *keep))))
+        return walk
+
+    monkeypatch.setattr(module, "trie_walk", prefix_walk)
+    monkeypatch.setattr(module, "_flat_walk", flat_walk)
+    monkeypatch.setattr(module, "telescope", None)
+    for want, report in zip(alone, telescope_sweep(tasks), strict=True):
         assert report.passed and (report.lhs, report.rhs) == (want.lhs, want.rhs)
+    assert prefixes == [(5, len({k[:i] for k in run for i in range(1, len(k) + 1)}))
+                        for run in runs]
+    assert flats == [(n + 1, sorted({m for k in run for m in mzv_real._branch(k)}),
+                      sorted(run)) for run in runs for n in range(1, 5)]
 
 
 def test_sweep_reads_a_route_again():

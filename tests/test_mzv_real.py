@@ -372,8 +372,9 @@ def flat_walks(monkeypatch):
     """The list of (fence, nodes) of every trie walk made during a test."""
     walks = []
     real = mzv_real._flat_walk
-    monkeypatch.setattr(mzv_real, "_flat_walk", lambda upper, nodes:
-                        walks.append((upper, list(nodes))) or real(upper, nodes))
+    monkeypatch.setattr(mzv_real, "_flat_walk", lambda upper, nodes, *keep:
+                        walks.append((upper, list(nodes)))
+                        or real(upper, nodes, *keep))
     return walks
 
 
@@ -421,19 +422,51 @@ def test_sweep_walks_each_fence_once(flat_walks, capsys):
         (n, 15) for n in range(2, 10)]
 
 
-def test_sweep_past_the_table_budget(flat_walks, monkeypatch, capsys):
-    """Above the fences FLAT_TABLE_BITS allows, each index walks its own
-    branch, and the sweep still passes."""
-    from zetaflat.cli import main
+def _key(report):
+    out = report.to_json_dict()
+    del out["elapsed_ms"]
+    return out
 
-    # 2^3 * 3 * N^2 <= 100 only at N = 2
-    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 100)
-    assert main(["verify", "main", "--max-weight", "3", "--max-upper", "6"]) == 0
-    capsys.readouterr()
-    walks = [(n, len(nodes)) for n, nodes in flat_walks]
-    assert walks[0] == (2, 7)
-    assert sorted(walks[1:]) == sorted((n, sum(k)) for k in trie_order(3)
-                                       for n in range(3, 7))
+
+def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
+    """Under a budget of 300 bits, `budget_runs` cuts main's grid of weight
+    3 and fences 1..6 only where the index changes: the indices of weight
+    <= 2 in one run (3 nodes * 2 * 6^2 = 216 bits), and each index of
+    weight 3 in a run of its own, past the budget alone (3 * 3 * 36 = 324).
+    Each run walks its own branches once per fence, a one-index run too,
+    and holds a fence's table, one value per index of the run, each taken
+    out as read, from its first read to its last read in the run only: a
+    one-index run holds none across fences.  Every report equals its check
+    called alone."""
+    tasks = [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
+             for k in indices_up_to_weight(3) for n in range(1, 7)]
+    alone = [_key(fn(**kwargs)) for fn, kwargs in tasks]
+    flat_walks.clear()
+    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 300)
+    runs = [[kwargs["k"] for _, kwargs in run]
+            for run, *_ in mzv_real.budget_runs(tasks, "main")]
+    assert sum(runs, []) == [kwargs["k"] for _, kwargs in tasks]
+    assert [list(dict.fromkeys(run)) for run in runs] == [
+        [(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
+    run_of = [r for r, run in enumerate(runs) for _ in run]
+    reads = {}  # (run, fence) -> places of its first and last read
+    for i, (_, kwargs) in enumerate(tasks):
+        place = run_of[i], kwargs["upper"]
+        reads[place] = reads.get(place, (i,))[0], i
+    sweep = mzv_real.main_sweep(tasks)
+    for i, report in enumerate(sweep):
+        assert _key(report) == alone[i]
+        frame = sweep.gi_frame.f_locals
+        tables, k, upper = frame["tables"], tasks[i][1]["k"], tasks[i][1]["upper"]
+        assert sorted(tables) == [n for (r, n), (first, end) in sorted(reads.items())
+                                  if r == run_of[i] and first <= i < end]
+        assert all(len(values) == len(set(runs[run_of[i]]))
+                   for values, _ in tables.values())
+        if upper in tables:  # the value just read is taken out
+            assert tables[upper][0][frame["ks"][k]] is None
+    assert flat_walks == [
+        (n, sorted({m for k in run for m in mzv_real._branch(k)}))
+        for run in runs for n in range(2, 7)]
 
 
 def test_sweep_computes_each_lcm_once(monkeypatch, capsys):
