@@ -24,28 +24,26 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._kernels import dp_sum, dp_sum_mod, enum_sum
 from .errors import NonUnitError
 from .index_algebra import as_index, boundary_set_tilde
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", ("refl", "harm"))):
     """Per-position factor 1/((N - n)^refl * n^harm)."""
 
-    refl: int = 0
-    harm: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.refl < 0 or self.harm < 0:
+    def __new__(cls, refl=0, harm=0):
+        if refl < 0 or harm < 0:
             raise ValueError("weight exponents must be non-negative")
-        if self.refl + self.harm < 1:
+        if refl + harm < 1:
             raise ValueError("a weight needs total degree at least 1")
+        return super().__new__(cls, refl, harm)
 
     @property
     def degree(self):
@@ -59,25 +57,40 @@ HARMONIC = Weight(harm=1)
 REFLECTED = Weight(refl=1)
 
 
-class Position(NamedTuple):
-    weight: Weight
-    strict_before: bool
+class Position(namedtuple("Position", ("weight", "strict_before"))):
+    """A chain position: its weight, and whether the relation entering it
+    is strict."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ChainSpec:
     """A compiled chain: positions with entering relations, plus the
     relation against the upper fence N (strict by default)."""
 
-    positions: tuple
-    terminal_strict: bool = True
+    __slots__ = ("positions", "terminal_strict")
 
-    def __post_init__(self):
-        if not self.positions:
+    def __init__(self, positions, terminal_strict=True):
+        if not positions:
             raise ValueError("a chain needs at least one position")
-        for pos in self.positions:
+        for pos in positions:
             if not isinstance(pos, Position):
                 raise ValueError(f"expected Position, got {pos!r}")
+        self.positions = positions
+        self.terminal_strict = terminal_strict
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainSpec):
+            return NotImplemented
+        return (self.positions, self.terminal_strict) == (
+            other.positions, other.terminal_strict)
+
+    def __hash__(self):
+        return hash((self.positions, self.terminal_strict))
+
+    def __repr__(self):
+        return (f"ChainSpec(positions={self.positions!r}, "
+                f"terminal_strict={self.terminal_strict!r})")
 
     @property
     def length(self):
@@ -415,17 +428,27 @@ def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:
     return Residue(sum(dp_sum_mod(*plan, modulus, start)), modulus)
 
 
-@dataclass(frozen=True)
 class Residue:
     """An element of Z/modulus with explicit, checked inversion."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 2:
+    def __init__(self, value, modulus):
+        if not isinstance(modulus, int) or modulus < 2:
             raise ValueError("modulus must be an integer >= 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        self.value = value % modulus
+        self.modulus = modulus
+
+    def __eq__(self, other):
+        if not isinstance(other, Residue):
+            return NotImplemented
+        return (self.value, self.modulus) == (other.value, other.modulus)
+
+    def __hash__(self):
+        return hash((self.value, self.modulus))
+
+    def __repr__(self):
+        return f"Residue(value={self.value!r}, modulus={self.modulus!r})"
 
     def _match(self, other):
         if not isinstance(other, Residue):

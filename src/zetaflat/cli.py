@@ -11,7 +11,6 @@ returns; convergence tables can be dumped as CSV.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -234,7 +233,7 @@ def cmd_eval(args):
 def _telescope_report(k, upper):
     started = time.perf_counter()
     values = [stage.value for stage in telescope(k, upper).stages]
-    return telescope_report(k, upper, values, started)
+    return telescope_report(format_index(k), upper, values, started)
 
 
 def _transport_sweep_report(which, upper):
@@ -461,7 +460,7 @@ def cmd_verify(args):
         good = total = 0
         with closing(_reports(tasks, args.jobs)) as reports:
             for r in reports:
-                print(json.dumps(r.to_json_dict()) if args.json else r.line())
+                print(r.json_line() if args.json else r.line())
                 good += 1 if r.passed else 0
                 total += 1
     verdict = "PASS" if good == total else "FAIL"

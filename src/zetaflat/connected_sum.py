@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -155,19 +155,17 @@ def _connected_sums(right, upper, binomials, lefts):
     return [Fraction(sum(map(mul, a, w)), sa * sb * den) for a, sa in lefts]
 
 
-@dataclass(frozen=True)
-class TelescopeStage:
-    left: Index
-    right: Index
-    value: Fraction
+class TelescopeStage(namedtuple("TelescopeStage", ("left", "right", "value"))):
+    """One connected sum Z_N(left | right) of a telescoping route."""
+
+    __slots__ = ()
 
     def line(self, upper) -> str:
         return (f"Z_{upper}({format_index(self.left)} | "
                 f"{format_index(self.right)}) = {fraction_str(self.value)}")
 
 
-@dataclass(frozen=True)
-class TelescopeTrace:
+class TelescopeTrace(namedtuple("TelescopeTrace", ("index", "upper", "stages"))):
     """The full telescoping route for one index at one fence.
 
     Stage j carries left = k[: r - j] and right = k[r - j :]; stage 0 is
@@ -176,9 +174,7 @@ class TelescopeTrace:
     values are equal exactly when the route telescopes.
     """
 
-    index: Index
-    upper: int
-    stages: tuple
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:
@@ -220,14 +216,15 @@ def telescope(k, upper) -> TelescopeTrace:
     return TelescopeTrace(index=k, upper=upper, stages=tuple(stages))
 
 
-def telescope_report(k, upper, values, started):
-    """The `verify telescope` report of one route from its stage values.
+def telescope_report(name, upper, values, started):
+    """The `verify telescope` report of one route from its stage values,
+    for the index that `format_index` renders as `name`.
 
     The end stages are zeta_trunc(k, N+1) and zeta_flat(k, N+1) by the
     boundary convention of connected_sum.
     """
     last = values[-1] if all(v == values[0] for v in values) else "stages diverge"
-    return make_report("telescope", {"k": format_index(k), "N": upper},
+    return make_report("telescope", {"k": name, "N": upper},
                        values[0], last, started, notes={"stages": len(values)})
 
 
@@ -242,7 +239,8 @@ def telescope_sweep(tasks):
     Stages are popped as read, and a fence's tables go after its last task
     in the run.  A route read again, its stages taken, runs `telescope`."""
     for run, ks, nodes, last in budget_runs(tasks, "telescope"):
-        routes = [(as_index(kwargs["k"]), kwargs["upper"]) for _, kwargs in run]
+        named = {k: (as_index(k), format_index(k)) for k in ks}
+        routes = [(named[kwargs["k"]][0], kwargs["upper"]) for _, kwargs in run]
         top = max(last) + 1
         prefixes = sorted({k[:i] for k in ks for i in range(1, len(k) + 1)})
         steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in prefixes}}
@@ -273,5 +271,5 @@ def telescope_sweep(tasks):
                     values.append(middles.pop((k[:j], right, n)))
                 values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
             del binomials, flats  # past the fence's last task, its tables go
-            yield telescope_report(k, n, values, started)
+            yield telescope_report(named[k][1], n, values, started)
         del lefts  # before the next run's

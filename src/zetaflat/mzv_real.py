@@ -15,14 +15,13 @@ decomposition, and the convergence table for the duality defect.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
 from ._kernels import harmonic_tree
 from .chainsum import (
-    ChainSpec,
     endpoint_values,
     equality_strata,
     eval_dp,
@@ -35,7 +34,7 @@ from .chainsum import (
     zeta_chain,
     zeta_star_chain,
 )
-from .index_algebra import Index, as_index, dual, format_index
+from .index_algebra import as_index, dual, format_index
 from .reports import decimal_str, make_report
 
 
@@ -210,18 +209,21 @@ def main_sweep(tasks):
         top, column_of, tables = max(last), None, {}
         for i, (_, kwargs) in enumerate(run):
             started = time.perf_counter()
-            k, upper, method = as_index(kwargs["k"]), kwargs["upper"], kwargs["method"]
-            if k != column_of:
-                column_of, column = k, zeta_trunc_column(k, range(top + 1), method)
+            upper, method = kwargs["upper"], kwargs["method"]
+            if kwargs["k"] != column_of:
+                column_of = kwargs["k"]
+                k = as_index(column_of)
+                name, place, weight = format_index(k), ks[k], k.weight
+                column = zeta_trunc_column(k, range(top + 1), method)
             if upper not in tables:
                 dp = method == "dp" and upper > 1
                 values = _flat_walk(upper, nodes, ks) if dp else {}
                 tables[upper] = list(map(values.get, ks)), lcm_upto(upper)
             values, lam = tables[upper] if last[upper] > i else tables.pop(upper)
-            value, values[ks[k]] = values[ks[k]], None
+            value, values[place] = values[place], None
             flat = (zeta_flat(k, upper, method) if value is None
-                    else Fraction(value, lam ** k.weight))
-            yield make_report("main", {"k": format_index(k), "N": upper},
+                    else Fraction(value, lam ** weight))
+            yield make_report("main", {"k": name, "N": upper},
                               column[upper], flat, started)
 
 
@@ -232,16 +234,11 @@ def riemann_sum(k, upper, method="dp") -> Fraction:
     return _eval(riemann_chain(k), upper, method)
 
 
-@dataclass(frozen=True)
-class DiscrepancyTerm:
-    sign: int
-    tied: frozenset
-    spec: ChainSpec
-    value: Fraction
+DiscrepancyTerm = namedtuple("DiscrepancyTerm", ("sign", "tied", "spec", "value"))
 
 
-@dataclass(frozen=True)
-class DiscrepancyBreakdown:
+class DiscrepancyBreakdown(namedtuple("DiscrepancyBreakdown",
+                                      ("index", "upper", "lhs", "terms"))):
     """Exact decomposition of zeta_trunc(k, N) - zeta_trunc(dual(k), N).
 
     The defect of the duality at a finite fence is a signed sum of fully
@@ -251,10 +248,7 @@ class DiscrepancyBreakdown:
     the term values always add up to it exactly.
     """
 
-    index: Index
-    upper: int
-    lhs: Fraction
-    terms: tuple
+    __slots__ = ()
 
     def signed_total(self) -> Fraction:
         return sum((t.sign * t.value for t in self.terms), Fraction(0))
@@ -301,11 +295,11 @@ def log2_discretization_check(upper):
     return make_report("log2", {"upper": n}, lhs, rhs, started)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    upper: int
-    diff: Fraction
-    decimal: str
+class ConvergenceRow(namedtuple("ConvergenceRow", ("upper", "diff", "decimal"))):
+    """|zeta_trunc(k, N) - zeta_trunc(dual(k), N)| at one fence N, exact
+    and as a decimal string."""
+
+    __slots__ = ()
 
 
 def duality_convergence(k, uppers, method="dp", *,

@@ -9,8 +9,8 @@ sides, so there is no tolerance hiding anywhere; a rational renders as
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chainsum import Residue
@@ -44,10 +44,10 @@ def decimal_str(q, places=12) -> str:
 
 def render_value(x) -> str:
     """Canonical string for anything a check may output."""
-    if isinstance(x, Residue):
-        return str(x)
     if isinstance(x, (Fraction, int)):
         return fraction_str(x)
+    if isinstance(x, Residue):
+        return str(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (list, tuple)):
@@ -55,15 +55,22 @@ def render_value(x) -> str:
     raise TypeError(f"no canonical rendering for {x!r}")
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    check_id: str
-    inputs: dict
-    lhs: str
-    rhs: str
-    passed: bool
-    elapsed: float
-    notes: dict = field(default_factory=dict)
+    """One check's outcome; `inputs` maps names to rendered values, and
+    `notes` holds extra keys for the JSON form, written after the rest."""
+
+    __slots__ = ("check_id", "inputs", "lhs", "rhs", "passed", "elapsed",
+                 "notes")
+
+    def __init__(self, check_id, inputs, lhs, rhs, passed, elapsed,
+                 notes=None):
+        self.check_id = check_id
+        self.inputs = inputs
+        self.lhs = lhs
+        self.rhs = rhs
+        self.passed = passed
+        self.elapsed = elapsed
+        self.notes = {} if notes is None else notes
 
     def to_json_dict(self) -> dict:
         out = {
@@ -76,6 +83,30 @@ class VerificationReport:
         }
         out.update(self.notes)
         return out
+
+    def json_line(self) -> str:
+        """`json.dumps(self.to_json_dict())`, written from a template when
+        no string needs an escape (all printable ASCII, no quote or
+        backslash), `passed` is a bool, every note an int and the time
+        finite; otherwise by json.dumps."""
+        inputs, notes = self.inputs, self.notes
+        ms = round(self.elapsed * 1000.0, 3)
+        try:
+            text = "".join((self.check_id, self.lhs, self.rhs, *inputs,
+                            *inputs.values(), *notes))
+        except TypeError:  # some value is not a string
+            text = "\\"
+        if (not text.isascii() or not text.isprintable() or '"' in text
+                or "\\" in text or type(self.passed) is not bool
+                or ms - ms != 0.0
+                or notes and any(type(v) is not int for v in notes.values())):
+            return json.dumps(self.to_json_dict())
+        fields = ", ".join([f'"{k}": "{v}"' for k, v in inputs.items()])
+        extra = "".join([f', "{k}": {v}' for k, v in notes.items()]) if notes else ""
+        return (f'{{"check_id": "{self.check_id}", "inputs": {{{fields}}}, '
+                f'"lhs": "{self.lhs}", "rhs": "{self.rhs}", '
+                f'"pass": {"true" if self.passed else "false"}, '
+                f'"elapsed_ms": {ms!r}{extra}}}')
 
     def line(self) -> str:
         verdict = "ok  " if self.passed else "FAIL"
@@ -90,11 +121,5 @@ def make_report(check_id, inputs, lhs_value, rhs_value, started,
     lhs = render_value(lhs_value)
     rhs = render_value(rhs_value)
     return VerificationReport(
-        check_id=check_id,
-        inputs={k: str(v) for k, v in inputs.items()},
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-        elapsed=time.perf_counter() - started,
-        notes=dict(notes or {}),
-    )
+        check_id, {k: str(v) for k, v in inputs.items()}, lhs, rhs,
+        lhs == rhs, time.perf_counter() - started, notes)

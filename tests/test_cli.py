@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -432,14 +433,25 @@ def test_verify_csv_needs_single_index(capsys):
     assert code == 2
 
 
+def without_elapsed(out):
+    """`--json` output with each elapsed_ms value cut out, bytes kept."""
+    return re.sub(r'"elapsed_ms": [^,}]*', '"elapsed_ms": ', out)
+
+
 def test_verify_jobs_matches_sequential(capsys):
-    # Each worker sweeps pieces of the grid cut where the index changes:
-    # 11 pieces of main at --max-weight 5 under --jobs 2 (16 under
-    # --jobs 3), each walking again the ancestors its indices share with
-    # other pieces, and one piece per worker of a residue grid, each
-    # walking every (prime, exponent) trie again.
+    # Reports come back from the workers pickled, and print byte for byte
+    # as the sequential ones (--json, without the times).  Each worker
+    # sweeps pieces of the grid cut where the index changes: 11 pieces of
+    # main at --max-weight 5 under --jobs 2 (16 under --jobs 3), each
+    # walking again the ancestors its indices share with other pieces, and
+    # one piece per worker of a residue grid, each walking every (prime,
+    # exponent) trie again.
     for argv, jobs in [
             (["verify", "telescope", "--max-weight", "3", "--max-upper", "4"], "3"),
+            (["verify", "telescope", "--max-weight", "3", "--max-upper", "4",
+              "--json"], "2"),
+            (["verify", "padic", "--max-weight", "6", "--primes", "3..7",
+              "--n-values", "2", "--json"], "2"),
             (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "2"),
             (["verify", "main", "--max-weight", "5", "--max-upper", "15"], "3"),
             (["verify", "main", "--max-weight", "4", "--max-upper", "9",
@@ -457,7 +469,7 @@ def test_verify_jobs_matches_sequential(capsys):
             (["verify", "duality-r", "--powers", "4..11"], "2")]:
         _, seq, _ = run_cli(argv, capsys)
         _, par, _ = run_cli(argv + ["--jobs", jobs], capsys)
-        assert seq == par
+        assert without_elapsed(seq) == without_elapsed(par)
 
 
 def test_bad_range_and_unknown_suite(capsys):
@@ -652,6 +664,15 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, zetaflat.cli; "
          "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_importing_the_cli_leaves_typing_out():
+    # -S keeps site out: a .pth file of the environment may import typing.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, zetaflat.cli; "
+         "print('typing' in sys.modules)"],
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
