@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import groupby
 from math import log10
@@ -25,8 +24,7 @@ from .connected_sum import (
     telescope,
     telescope_report,
     telescope_sweep,
-    transport_weight_down_check,
-    transport_weight_up_check,
+    transport_failures,
 )
 from .errors import CapExceededError
 from .finite_padic import (
@@ -56,7 +54,6 @@ from .mzv_real import (
     main_identity_check,
     main_sweep,
     riemann_sum,
-    runs,
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
@@ -193,7 +190,9 @@ def build_parser():
     vf.add_argument("--json", action="store_true")
     vf.add_argument("--csv", action="store_true",
                     help="convergence table (duality-r with one --index)")
-    vf.add_argument("--jobs", type=int, default=1)
+    vf.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="accepted for compatibility (N >= 1); sweeps run "
+                         "in one process")
     add_cap_flags(vf)
 
     tr = sub.add_parser("trace", help="print one telescoping transcript")
@@ -238,12 +237,8 @@ def _telescope_report(k, upper):
 
 def _transport_sweep_report(which, upper):
     started = time.perf_counter()
-    # transport1 runs over 0 < n <= m <= N, transport2 over 0 <= n < m <= N
-    check, low = ((transport_weight_down_check, 1) if which == 1
-                  else (transport_weight_up_check, 0))
-    bad = [(n, m) for m in range(1, upper + 1) for n in range(low, m + low)
-           if not check(upper, n, m).passed]
-    return make_report(f"transport{which}", {"N": upper}, bad, [], started)
+    return make_report(f"transport{which}", {"N": upper},
+                       transport_failures(which, upper), [], started)
 
 
 def _duality_r_rows(k, lo, hi, *, column=zeta_trunc_column):
@@ -397,42 +392,6 @@ def _sweeps(tasks):
             yield from sweep(run)
 
 
-def _piece_reports(piece):
-    return list(_sweeps(piece))
-
-
-def _pieces(tasks, jobs):
-    """`tasks` in `runs` for `jobs` workers: `jobs` pieces over primes (each
-    walks every (prime, exponent) trie again), else about W / jobs indices
-    each, W the largest weight, so the parent holds W indices' reports."""
-    count = jobs
-    if not any("p" in kwargs for _, kwargs in tasks):
-        weight = max((kw["k"].weight for _, kw in tasks if "k" in kw), default=1)
-        count = jobs * sum(1 for _ in runs(tasks, lambda run, group: False)) // weight
-    return list(runs(tasks, lambda run, group: len(run) * count < len(tasks)))
-
-
-def _reports(tasks, jobs):
-    """The report of each task, in order, as soon as it is ready; under a
-    pool, each worker sweeps a piece and its reports arrive together.  A
-    grid of one piece is swept here, with no pool."""
-    pieces = _pieces(tasks, jobs) if jobs > 1 else [tasks]
-    if len(pieces) == 1:
-        yield from _sweeps(tasks)
-        return
-    # Imported here: only a pool needs it, and it slows every start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
-        try:
-            for reports in pool.map(_piece_reports, pieces):
-                yield from reports
-        finally:
-            # Closed early (a check raised, or the reader went away): drop
-            # the pieces still queued instead of running them unread.
-            pool.shutdown(cancel_futures=True)
-
-
 def cmd_verify(args):
     caps = caps_of(args)
     if args.csv and (args.suite != "duality-r" or not args.index
@@ -458,11 +417,10 @@ def cmd_verify(args):
         good, total = int(report.passed), 1
     else:
         good = total = 0
-        with closing(_reports(tasks, args.jobs)) as reports:
-            for r in reports:
-                print(r.json_line() if args.json else r.line())
-                good += 1 if r.passed else 0
-                total += 1
+        for r in _sweeps(tasks):
+            print(r.json_line() if args.json else r.line())
+            good += 1 if r.passed else 0
+            total += 1
     verdict = "PASS" if good == total else "FAIL"
     print(f"{verdict} {good}/{total}",
           file=sys.stderr if args.json or args.csv else sys.stdout)

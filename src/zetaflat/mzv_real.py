@@ -127,11 +127,11 @@ def _branch(k):
 
 
 def runs(tasks, fits):
-    """`tasks` cut only where the index changes (a task without one stands
-    alone) into runs: `fits(run, group)` is asked of each index's group in
-    turn, the first with an empty run, and a group that fails opens a run."""
+    """`tasks` cut only where the index changes into runs: `fits(run, group)`
+    is asked of each index's group in turn, the first with an empty run,
+    and a group that fails opens a run."""
     run = []
-    for _, group in groupby(tasks, lambda task: task[1].get("k", task)):
+    for _, group in groupby(tasks, lambda task: task[1]["k"]):
         if not fits(run, group := list(group)) and run:
             yield run
             run = []
@@ -289,10 +289,11 @@ def log2_discretization_check(upper):
     sum_{n=1}^{2N-1} (-1)^(n-1)/n  ==  sum_{n=0}^{N-1} 1/(N+n), exactly.
     """
     started = time.perf_counter()
-    n = upper
-    lhs = sum((Fraction((-1) ** (j - 1), j) for j in range(1, 2 * n)), Fraction(0))
-    rhs = sum((Fraction(1, n + j) for j in range(n)), Fraction(0))
-    return make_report("log2", {"upper": n}, lhs, rhs, started)
+    den = lcm_upto(2 * upper - 1)
+    q = [den // j for j in range(1, 2 * upper)]  # 1/j over den, j < 2N
+    lhs = Fraction(sum(q[::2]) - sum(q[1::2]), den)
+    rhs = Fraction(sum(q[upper - 1:]), den)
+    return make_report("log2", {"upper": upper}, lhs, rhs, started)
 
 
 class ConvergenceRow(namedtuple("ConvergenceRow", ("upper", "diff", "decimal"))):

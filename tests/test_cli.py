@@ -272,7 +272,7 @@ def test_verify_duality_r_builds_each_column_once(argv, code, trees, digest,
 
 # One small run of each suite, and three more: `main` on the enumeration
 # oracle, a `padic` grid past the pinned thresholds (its missing entries
-# fail) and a run under a pool.  The digests are those of the package
+# fail) and a run under `--jobs 2`.  The digests are those of the package
 # before its three trie walks became `chainsum.trie_walk`, so a refactor
 # that changes any report, verdict or exit code fails here.
 PINNED_RUNS = [
@@ -439,13 +439,9 @@ def without_elapsed(out):
 
 
 def test_verify_jobs_matches_sequential(capsys):
-    # Reports come back from the workers pickled, and print byte for byte
-    # as the sequential ones (--json, without the times).  Each worker
-    # sweeps pieces of the grid cut where the index changes: 11 pieces of
-    # main at --max-weight 5 under --jobs 2 (16 under --jobs 3), each
-    # walking again the ancestors its indices share with other pieces, and
-    # one piece per worker of a residue grid, each walking every (prime,
-    # exponent) trie again.
+    # --jobs is accepted and checked, and every sweep runs in one process:
+    # each argv prints byte for byte as without it (--json, without the
+    # times).
     for argv, jobs in [
             (["verify", "telescope", "--max-weight", "3", "--max-upper", "4"], "3"),
             (["verify", "telescope", "--max-weight", "3", "--max-upper", "4",
@@ -616,48 +612,15 @@ def test_verify_prints_each_report_as_it_returns(monkeypatch, capsys):
     assert out.splitlines() == [main_identity_check(k, 4).line()]
 
 
-class RecordingPool:
-    """An in-process stand-in for ProcessPoolExecutor that records the
-    number of workers asked for."""
-
-    asked = []
-
-    def __init__(self, max_workers):
-        self.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
-@pytest.mark.parametrize("argv,workers", [
-    (["duality-r", "--index", "3", "--powers", "4..6"], 1),
-    (["padic", "--max-weight", "1", "--primes", "3..13"], 1),
-    (["padic", "--max-weight", "2", "--primes", "3..13"], 3),
-    (["main", "--max-weight", "2", "--max-upper", "3"], 3),
-    (["main", "--max-weight", "1", "--max-upper", "3"], 1),
-])
-def test_pool_starts_no_more_workers_than_pieces(argv, workers, monkeypatch,
-                                                 capsys):
-    """`workers` is the number of pieces; a grid of one piece is swept
-    without a pool."""
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    RecordingPool.asked.clear()
-    _, seq, _ = run_cli(["verify"] + argv, capsys)
-    code, par, _ = run_cli(["verify"] + argv + ["--jobs", "8"], capsys)
-    assert code == 0 and par == seq
-    assert RecordingPool.asked == ([workers] if workers > 1 else [])
+def test_verify_under_jobs_starts_no_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from zetaflat.cli import entry; "
+         "rc = entry(['verify', 'main', '--max-weight', '2', '--max-upper', "
+         "'3', '--jobs', '2']); "
+         "print('concurrent.futures' in sys.modules, rc, file=sys.stderr)"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stderr == "False 0\n", proc.stderr
+    assert proc.stdout.endswith("PASS 9/9\n")
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():

@@ -29,6 +29,7 @@ from zetaflat.connected_sum import (
     connector,
     telescope,
     telescope_sweep,
+    transport_failures,
     transport_weight_down_check,
     transport_weight_up_check,
 )
@@ -94,8 +95,8 @@ def test_connector_known_values():
 
 
 def test_connector_cache_is_bounded_and_holds_one_fence():
-    """A transport sweep reads one fence at a time: every pair of a fence
-    up to N = 126 stays cached, while fences before it drop out."""
+    """Read one fence at a time, every pair of a fence up to N = 126 stays
+    cached, while fences before it drop out."""
     connector.cache_clear()
     for upper in (125, 126):
         pairs = [(n, m) for m in range(upper + 1) for n in range(m + 1)]
@@ -138,6 +139,40 @@ def test_transport_identities_exhaustive():
         for m in range(1, upper + 1):
             for n in range(0, m):
                 assert transport_weight_up_check(upper, n, m).passed
+
+
+def per_pair_failures(which, upper):
+    """The failing pairs of transport `which` at fence N, m then n, from
+    the per-pair checks."""
+    check, low = ((transport_weight_down_check, 1) if which == 1
+                  else (transport_weight_up_check, 0))
+    return [(n, m) for m in range(1, upper + 1) for n in range(low, m + low)
+            if not check(upper, n, m).passed]
+
+
+def test_transport_failures_equal_the_per_pair_checks():
+    for upper in range(1, 31):
+        for which in (1, 2):
+            assert transport_failures(which, upper) == \
+                per_pair_failures(which, upper) == [], (which, upper)
+
+
+def test_transport_failures_follow_a_wrong_binomial(monkeypatch):
+    """With binom(5, 2) read as 11, both paths fail the same pairs."""
+    def wrong_comb(n, k):
+        return 11 if (n, k) == (5, 2) else comb(n, k)
+
+    # the module, not the function that the package exports under its name
+    monkeypatch.setattr(sys.modules["zetaflat.connected_sum"], "comb", wrong_comb)
+    connector.cache_clear()
+    try:
+        for which in (1, 2):
+            failing = [transport_failures(which, upper) for upper in range(1, 13)]
+            assert failing == [per_pair_failures(which, upper)
+                               for upper in range(1, 13)], which
+            assert any(failing), which
+    finally:
+        connector.cache_clear()
 
 
 def test_transport_argument_validation():

@@ -194,6 +194,19 @@ def test_log2_known_values():
         assert log2_discretization_check(n).passed
 
 
+def test_log2_sides_equal_their_fraction_sums():
+    """lhs is the alternating partial sum A(2N - 1), rhs the harmonic tail
+    H(2N - 1) - H(N - 1), both summed here in Fractions."""
+    alternating, harmonic = [Fraction(0)], [Fraction(0)]
+    for j in range(1, 800):
+        alternating.append(alternating[-1] + Fraction((-1) ** (j - 1), j))
+        harmonic.append(harmonic[-1] + Fraction(1, j))
+    for n in range(1, 401):
+        r = log2_discretization_check(n)
+        assert r.lhs == fraction_str(alternating[2 * n - 1]), n
+        assert r.rhs == fraction_str(harmonic[2 * n - 1] - harmonic[n - 1]), n
+
+
 def test_fraction_str_renders_fractions_and_ints_as_before():
     """Fractions and ints are rendered from their own numerator and
     denominator, anything else through Fraction(q); either way the

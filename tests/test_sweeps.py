@@ -1,12 +1,11 @@
 """Property tests of the sweeps and the trie walk they share.
 
 A small grid of each suite that a sweep serves is cut at random into
-contiguous pieces, cuts inside one index's run included, as `--jobs`
-cuts it (at index boundaries only), under a table budget drawn small
-enough that the sweeps of main and telescope cut their own runs too.
-The reports of the pieces joined, the reports of one uncut sweep and
-the report of each task's check called alone are equal, all but their
-elapsed time.
+contiguous pieces, cuts inside one index's run included, under a table
+budget drawn small enough that the sweeps of main and telescope cut
+their own runs too.  The reports of the pieces joined, the reports of
+one uncut sweep and the report of each task's check called alone are
+equal, all but their elapsed time.
 
 A differential fuzz draws a few indices, a fence, a prime power and a
 read order with repeats and gaps.  Every node of the three tries that
