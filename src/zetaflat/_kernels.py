@@ -14,13 +14,14 @@ position at a time, as `chainsum.trie_walk` extends it over a trie of
 indices.
 
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
-chain (what `zeta_chain` compiles to) and sorted fences.  It carries the
-exact value at each fence as an integer row over a product of step
-denominators, and its one division, by that product, is exact for the
-same reason: the scale it is given times the chain sum is an integer.
+chain (what `zeta_chain` compiles to) and sorted fences.  At each fence
+it renormalises its row to the scale given there, every entry an exact
+quotient (`exact_quotient`), since the scale times every prefix sum of
+the chain is an integer.
 """
 
 from itertools import accumulate
+from operator import mul
 
 
 def enum_sum(dens, stricts, lbs, ubs, scale):
@@ -103,38 +104,56 @@ def dp_sum_mod(rows, stricts, lbs, ubs, modulus, front):
     return front
 
 
-LEAF_STEPS = 16
+LEAF_STEPS = 32
+
+
+def exact_quotient(num, den):
+    """num // den for a positive den that divides num, from leading bits.
+
+    After a shift by k = 2 len(den) - len(num) - 2 bits, b = den >> k
+    exceeds the quotient q and num >> k = q b + floor(q (den mod 2^k) /
+    2^k), whose last term is below q; so (num >> k) // b, quadratic in
+    q's length, is q.  Where k <= 0, or num is 0, it divides in full.
+    """
+    k = 2 * den.bit_length() - num.bit_length() - 2
+    if k <= 0 or not num:
+        return num // den
+    return (num >> k) // (den >> k)
 
 
 def harmonic_tree(exps, fences, scales):
     """Strict harmonic chain sums at ascending fences by binary splitting.
 
-    Step m maps the row vector v (v[j]: the sum over n_1 < ... < n_j < m)
-    to v (I + sum_i e_{i,i+1} / m^exps[i]), so e_0 times the product of
-    steps 1 .. N - 1 ends in the chain sum below the fence N.  With
-    t = max(exps) a step is the integer matrix m^t I + sum_i m^(t -
-    exps[i]) e_{i,i+1} over the denominator m^t.  The steps of each gap
-    between consecutive fences multiply in a balanced tree, with leaves
-    of LEAF_STEPS steps stepped directly, and the row carries across the
-    gaps.  Fences must not decrease; a repeated fence takes no steps.
-    Every diagonal entry of a product is the product of its step
-    denominators, multiplied once per step or node: row[0] is the row's
-    denominator, and at fences[j] the result is row[r] * scales[j] //
-    row[0], exact whenever scales[j] times the sum is an integer, as it
-    is for lcm(1..N)^weight.
+    Step m maps the row vector v (v[j]: the sum of the first j terms of
+    the chain over n_1 < ... < n_j < m) to v (I + sum_i e_{i,i+1} /
+    m^exps[i]).  With t = max(exps) a step is the integer matrix m^t I +
+    sum_i m^(t - exps[i]) e_{i,i+1} over m^t.  The steps of each gap
+    between fences multiply in a balanced tree whose every diagonal entry
+    is the product of its step denominators, multiplied once per node;
+    row i of a leaf of LEAF_STEPS steps is the first row of the suffix
+    chain exps[i:], stepped entry by entry.  At each fence N = fences[j]
+    the row is renormalised to scales[j]: row[0] becomes the scale and
+    each row[i] the exact quotient (`exact_quotient`) of row[i] times the
+    scale by the old row[0], which needs the scale times every prefix sum
+    below N to be an integer, as it is for lcm(1..N)^weight.  The new
+    row[r] is the result at N, and the next gap multiplies a row of about
+    weight N log2(e) bits.  Fences must not decrease; a repeated fence
+    takes no steps.
     """
     r, t = len(exps), max(exps)
 
     def leaf(a, b):
-        mat = [[int(i == j) for j in range(r + 1)] for i in range(r + 1)]
-        for m in range(a, b):
-            d = m ** t
-            lift = [m ** (t - e) for e in exps]
-            diag = mat[0][0] * d
-            for i, row in enumerate(mat):
-                for j in range(r, i, -1):
-                    row[j] = row[j] * d + row[j - 1] * lift[j - 1]
-                row[i] = diag
+        ds = [m ** t for m in range(a, b)]
+        lifts = {e: [m ** (t - e) for m in range(a, b)] for e in set(exps)}
+        diags = list(accumulate(ds, mul, initial=1))
+        mat = [[0] * i + [diags[-1]] for i in range(r + 1)]
+        for i, row in enumerate(mat):
+            hist = diags  # entry j before each step, which steps entry j + 1
+            for e in exps[i:]:
+                v = 0
+                hist = [0] + [v := v * d + h * lift
+                              for h, d, lift in zip(hist, ds, lifts[e])]
+                row.append(v)
         return mat
 
     def product(a, b):
@@ -154,5 +173,6 @@ def harmonic_tree(exps, fences, scales):
             row = [sum(row[l] * mat[l][j] for l in range(j + 1))
                    for j in range(r + 1)]
             prev = n
-        out.append(row[r] * scale // row[0])
+        row = [scale] + [exact_quotient(x * scale, row[0]) for x in row[1:]]
+        out.append(row[r])
     return out

@@ -234,7 +234,17 @@ def equality_strata(spec: ChainSpec):
 
 @lru_cache(maxsize=64)
 def lcm_upto(n):
-    return math.lcm(*range(1, n + 1)) if n >= 1 else 1
+    """lcm(1..n), or 1 for n <= 1: the product of p^floor(log_p n), p prime."""
+    sieve, lcm = bytearray([1]) * (n + 1), 1
+    for p in range(2, n + 1):
+        if sieve[p]:
+            power = p
+            while power * p <= n:
+                power *= p
+            if power > p:
+                sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+            lcm *= power
+    return lcm
 
 
 def _bands(spec, upper):

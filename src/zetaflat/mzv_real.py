@@ -57,8 +57,8 @@ def zeta_trunc(k, upper, method="dp") -> Fraction:
 
 # A column with a gap of at least this many steps between its fences goes
 # to the product tree.  On one fence (Python 3.11, 2-core x86 VM; table in
-# BENCH_big_fence.json) the tree overtakes the endpoint DP between
-# N = 512 and 1024 at depths 2-8 and wins 6-15x at N = 4096.
+# BENCH_harmonic_tree.json) the tree overtakes the endpoint DP between
+# N = 256 and 512 at depths 2-8 and wins 8-18x at N = 4096.
 TREE_GAP = 1024
 
 
@@ -71,11 +71,11 @@ def zeta_trunc_column(k, uppers, method="dp") -> list:
     not with every n below the top one.  Any other column reads every
     value as a partial sum of the final layer of one dynamic program at
     the top fence: for a dense column that is one cheap step per fence,
-    where the tree would pay a row update and a division over a
-    denominator near ((N-1)!)^max(k) at each fence (3.6-8x slower on
-    0..1200).  Both paths give each value exactly, as an integer over
-    lcm(1..N)^weight.  Enumeration (and a negative fence, which raises)
-    still goes one fence at a time.
+    where the tree would pay a one-step product, a row update and the
+    row's renormalisation to lcm(1..N)^weight at each fence, on integers
+    of that scale's size (2.7-5x slower on 0..1200).  Both paths give
+    each value exactly, as an integer over lcm(1..N)^weight.  Enumeration
+    (and a negative fence, which raises) still goes one fence at a time.
     """
     uppers = list(uppers)
     spec = zeta_chain(k)

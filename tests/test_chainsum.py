@@ -488,3 +488,16 @@ def test_empty_chain_value_is_zero():
     assert eval_dp(spec, 4) == 0
     assert eval_dp_mod(spec, 4, 7) == Residue(0, 7)
     assert eval_enum(spec, 0) == 0
+
+
+def test_lcm_upto_equals_math_lcm():
+    """The prime-power product equals lcm(1..n), past prime powers of 2
+    (2047, 2048) and at the fences of the duality-r grid (4096, 4097)."""
+    want = 1
+    for n in range(1, 1001):
+        want = math.lcm(want, n)
+        assert lcm_upto(n) == want, n
+    for n in (2047, 2048, 4096, 4097):
+        assert lcm_upto(n) == math.lcm(*range(1, n + 1)), n
+    for n in (-3, 0, 1):
+        assert lcm_upto(n) == 1, n

@@ -283,6 +283,7 @@ PINNED_RUNS = [
     (["telescope", "--max-weight", "3", "--max-upper", "6"], 0,
      "07b01226c3262d6d"),
     (["duality-r", "--powers", "3..6"], 0, "f2737f52ea1c5843"),
+    (["duality-r", "--powers", "9..11"], 0, "f68507407a88f4e5"),
     (["duality-a", "--max-weight", "3", "--primes", "3..13"], 0,
      "4a6f10365bea24bc"),
     (["antipode", "--max-weight", "3", "--primes", "3..13"], 0,

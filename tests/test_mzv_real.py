@@ -7,6 +7,7 @@ not mathematical claims; the mathematical claim is only that the
 difference tends to zero.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaflat import _kernels, mzv_real
-from zetaflat._kernels import harmonic_tree
+from zetaflat._kernels import exact_quotient, harmonic_tree
 from zetaflat.chainsum import (
     ChainSpec,
     Position,
@@ -267,6 +268,37 @@ def test_duality_convergence_unsorted_fences_with_duplicate():
                     (k, r)
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 31, 32, 33, 64, 65, 130, 1000])
+def test_exact_quotient_every_quotient_length(bits):
+    """exact_quotient(q * d, d) == q for divisors of `bits` bits and
+    quotients 0, 1 and every length up to the divisor's, each a power of
+    two, all ones or random, on both sides of the full-division branch."""
+    rng = random.Random(bits)
+    top = 1 << bits - 1
+    branches = set()
+    for d in (top, 2 * top - 1, rng.getrandbits(bits) | top):
+        for length in range(bits + 1):
+            low = 1 << length >> 1
+            for q in (low, (1 << length) - 1, rng.getrandbits(length) | low):
+                num = q * d
+                assert exact_quotient(num, d) == q, (d, q)
+                k = 2 * d.bit_length() - num.bit_length() - 2
+                branches.add(k > 0 and num > 0)
+    assert branches == ({False} if bits <= 2 else {False, True})
+
+
+def test_exact_quotient_long_divisors():
+    """Divisors of 20k and 200k bits, as long as the product tree's row
+    denominators, with quotients from 0 bits to the divisor's length."""
+    rng = random.Random(1)
+    for bits in (20_000, 200_000):
+        d = rng.getrandbits(bits) | 1 << bits - 1
+        for length in (0, 1, 2, 3, 64, 1000, bits // 2, bits - 3, bits - 2,
+                       bits - 1, bits):
+            q = rng.getrandbits(length) | 1 << length >> 1
+            assert exact_quotient(q * d, d) == q, (bits, length)
+
+
 def tree_values(k, fences):
     """The product-tree kernel's output for zeta_chain(k): the sum below
     each fence N times lcm(1..N)^weight."""
@@ -309,20 +341,26 @@ def test_harmonic_tree_equals_endpoint_partial_sums():
        fences=st.lists(st.integers(0, TREE_GAP + 64), max_size=5),
        top=st.integers(TREE_GAP - 2, TREE_GAP + 64),
        repeats=st.integers(0, 3),
-       leaf=st.sampled_from([1, 3, 16]))
+       leaf=st.sampled_from([1, 3, _kernels.LEAF_STEPS]))
 def test_harmonic_tree_against_endpoint_dp(exps, fences, top, repeats, leaf):
     """Differential test of the product tree against the endpoint DP:
     any exponents of depth <= 4, sorted fences with repeats on both sides
-    of TREE_GAP, and leaves of 1, 3 or 16 steps, so that the diagonal
-    slots of leaves and of inner nodes both meet in products."""
+    of TREE_GAP, and leaves of 1, 3 or LEAF_STEPS steps, so that the
+    diagonal slots of leaves and of inner nodes both meet in products.
+    A last fence, repeated, lies TREE_GAP past the others: the row
+    renormalised at the top fence is multiplied over that gap and
+    renormalised again, and must end where a one-fence tree, which
+    multiplies the whole range at once, ends."""
     fences = sorted(fences + [top] + fences[:repeats])
+    far = fences[-1] + TREE_GAP
     front, scale = endpoint_values(zeta_chain(exps), fences[-1])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "LEAF_STEPS", leaf)
-        got = tree_values(exps, fences)
+        got = tree_values(exps, fences + [far, far])
     for n, value in zip(fences, got):
         assert Fraction(value, lcm_upto(n) ** sum(exps)) \
             == Fraction(sum(front[:n]), scale), n
+    assert got[-2:] == tree_values(exps, [far]) * 2
 
 
 def test_harmonic_tree_edge_fences():
