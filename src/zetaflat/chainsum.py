@@ -321,16 +321,15 @@ def _denominator_row(refl, harm, upper):
     return tuple((upper - n) ** refl * n ** harm for n in range(upper + 1))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _inverse_table(upper, modulus):
     """inv[i] = 1/i mod modulus for 0 <= i <= upper, and 0 where i is no unit.
 
     Built by inv[i] = -(modulus // i) * inv[modulus % i], which holds
     whenever modulus % i is a unit (for a prime power p^n, at every
     i < p); the other entries fall back to pow.  Kept as a compact array
-    when the modulus fits in 64 bits.  The cache holds a table for each
-    of the 138 (prime, exponent) pairs a sweep under the default caps can
-    reach (primes up to 199, exponents up to 3).
+    when the modulus fits in 64 bits.  The cache holds the table mod p^N
+    of each of the 46 primes up to 199 that a sweep walks once.
     """
     inv = [0] * (upper + 1)
     for i in range(1, upper + 1):

@@ -13,15 +13,10 @@ of the range, and the pinned thresholds live in a committed fixtures file
 (see `load_thresholds`).  Thresholds are measured, never guessed.
 
 Strict residues mod p^n come from walks of a trie of index prefixes
-(`_walk`).  A strict harmonic chain grows one position at a time: the
-layer of the child k + (e,) is the layer of k, prefix-summed through
-v - 1 and multiplied by 1/v^e mod p^n on the band [1, p - 1], and a
-node's residue is the sum of its layer.  Points no tuple reaches stay 0,
-and so does every layer of a chain deeper than p - 1.  A check reads its
-residues through its `zeta` keyword, zeta(m, p, n) = zeta_trunc(m, p)
-mod p^n: by default a lookup that walks the branch of each index it
-reads, and in `residue_sweep` a lookup into one walk of each (prime,
-exponent) pair's trie for a whole run of checks.
+(`_walk`, on `chainsum.trie_walk`), 0 for a chain deeper than p - 1.  A
+check reads them through its `zeta` keyword, zeta(m, p, n) =
+zeta_trunc(m, p) mod p^n: by default from a walk of each index's branch,
+and in `residue_sweep` from one walk per prime mod p^N (`residue_lookups`).
 """
 
 from __future__ import annotations
@@ -283,25 +278,31 @@ def seki_lifting_check(k, p, n=1, *, zeta=_zeta_residue):
         {"k": format_index(k), "p": p, "n": n}, lhs, rhs, started)
 
 
+def residue_lookups(weight, top):
+    """lookup(p, n): the `zeta` of the residue checks of weight <= `weight`
+    at p and n <= top: one walk of p's trie mod p^top up to weight
+    weight + top - 1 (`_walk`), read mod p^n; every denominator is below p."""
+    walks = {}
+
+    def lookup(p, n):
+        if p not in walks:
+            walks[p] = _walk(p, top, trie_order(weight + top - 1))
+        table, mod = walks[p], p ** n
+        return lambda m, p, n: table[m] % mod
+    return lookup
+
+
 def residue_sweep(tasks):
     """The report of each (check, kwargs) task of the four residue checks,
-    in order; a task without a prime is called as it is.  Each pair
-    (p, n) walks its trie once, at its first task, up to weight w + n - 1,
-    w the largest weight of the tasks: all that the lifted checks read.
-    The pair's checks read their residues from that table.
-    """
+    in order, read through `residue_lookups` at the tasks' largest weight
+    and exponent; a task without a prime is called as it is."""
     tasks = list(tasks)
-    reach = max((as_index(kwargs["k"]).weight for _, kwargs in tasks), default=0) - 1
-    lookups = {}
+    lookup = residue_lookups(
+        max((as_index(kw["k"]).weight for _, kw in tasks), default=0),
+        max((kw.get("n", 1) for _, kw in tasks if "p" in kw), default=1))
     for check, kwargs in tasks:
-        if "p" not in kwargs:
-            yield check(**kwargs)
-            continue
-        pair = kwargs["p"], kwargs.get("n", 1)
-        if pair not in lookups:
-            table = _walk(*pair, trie_order(reach + pair[1]))
-            lookups[pair] = lambda m, p, n, table=table: table[m]
-        yield check(**kwargs, zeta=lookups[pair])
+        yield (check(**kwargs, zeta=lookup(kwargs["p"], kwargs.get("n", 1)))
+               if "p" in kwargs else check(**kwargs))
 
 
 def min_passing_prime(check, k, n, lo=3, hi=199, *, zeta=_zeta_residue):

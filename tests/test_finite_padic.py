@@ -291,16 +291,14 @@ def test_min_passing_prime_contract():
 
 
 def test_min_passing_prime_through_one_table_per_pair():
-    """Read through one walk per (p, n) of every index up to weight
-    w + n - 1, as tools/pin_thresholds.py reads them, the thresholds of
-    weight <= 3 are the pinned ones, and so are those of weight <= 2
-    read through the default per-branch walks."""
-    tables = {}
+    """Read through `residue_lookups`, one walk mod p^3 per prime of every
+    index up to weight 3 + 2, read mod p^n, as tools/pin_thresholds.py
+    reads them, the thresholds of weight <= 3 are the pinned ones, and so
+    are those of weight <= 2 read through the default per-branch walks."""
+    lookup = finite_padic.residue_lookups(3, 3)
 
     def zeta(m, p, n):
-        if (p, n) not in tables:
-            tables[p, n] = finite_padic._walk(p, n, trie_order(n + 2))
-        return tables[p, n][m]
+        return lookup(p, n)(m, p, n)
 
     for check, name in ((padic_duality_check, PADIC_FIXTURES),
                         (seki_lifting_check, SEKI_FIXTURES)):
@@ -313,7 +311,6 @@ def test_min_passing_prime_through_one_table_per_pair():
                 assert got == pinned[(k, n)], (check, k, n)
                 if k.weight <= 2:
                     assert min_passing_prime(check, k, n) == got
-    assert tables
 
 
 def test_packaged_thresholds_cover_the_grid():
@@ -402,11 +399,12 @@ def test_checks_read_only_the_lookup_they_are_given(check, n, cold_tables):
 
 
 @pytest.mark.parametrize("suite", ["padic", "seki", "duality-a", "antipode"])
-def test_sweep_walks_each_pair_once(suite, cold_tables, monkeypatch, capsys):
-    """verify hands its grid to one `residue_sweep` call, which walks
-    each (prime, exponent) pair's whole trie once, at the pair's first
-    check, and reads every residue from those walks, not from the lookup
-    cache of single checks."""
+def test_sweep_walks_each_prime_once(suite, cold_tables, monkeypatch, capsys):
+    """verify hands its grid to one `residue_sweep` call, which walks each
+    prime's whole trie once, at the prime's first check, mod p^N for N the
+    largest exponent of the grid (1 for the unlifted suites), and reads
+    every residue from those walks, not from the lookup cache of single
+    checks."""
     from zetaflat.cli import main
 
     walks = []
@@ -417,15 +415,70 @@ def test_sweep_walks_each_pair_once(suite, cold_tables, monkeypatch, capsys):
     argv = ["verify", suite, "--max-weight", "3", "--primes", "3..13"]
     assert main(argv + (["--n-values", "1,2,3"] if lifted else [])) == 0
     capsys.readouterr()
-    pairs = [(p, n) for p in (3, 5, 7, 11, 13)
-             for n in ((1, 2, 3) if lifted else (1,))]
-    assert sorted(walks) == [(p, n, 2 ** (3 + n - 1) - 1) for p, n in pairs]
+    top = 3 if lifted else 1
+    assert walks == [(p, top, 2 ** (3 + top - 1) - 1)
+                     for p in (3, 5, 7, 11, 13)]
     info = finite_padic._zeta_residue.cache_info()
     assert info.hits == info.misses == info.currsize == 0
 
 
+def test_sweep_lookups_are_the_residues_of_single_checks(cold_tables):
+    """Every residue a sweep's checks read, over a run that mixes exponents
+    1, 2 and 3, the unlifted checks and several primes, is the residue of
+    the single-check lookup, in [0, p^n); so is every index up to weight
+    4 + n - 1 read through `residue_lookups` at (p, n)."""
+    reads = []
+
+    def spy(check):
+        def run(*, zeta, **kwargs):
+            def read(m, p, n):
+                reads.append((m, p, n, zeta(m, p, n)))
+                return reads[-1][-1]
+            return check(**kwargs, zeta=read)
+        return run
+
+    tasks = [(spy(check), {"k": k, "p": p, "n": n} if n else {"k": k, "p": p})
+             for k in [Index((2, 1)), Index((1, 1, 2)), Index((3,))]
+             for check, n in ((padic_duality_check, 3), (seki_lifting_check, 1),
+                              (hoffman_duality_check, 0),
+                              (seki_lifting_check, 2),
+                              (antipode_duality_check, 0))
+             for p in (5, 3, 11)]
+    assert all(r.passed for r in finite_padic.residue_sweep(tasks))
+    assert {(p, n) for _, p, n, _ in reads} == {
+        (p, n) for p in (3, 5, 11) for n in (1, 2, 3)}
+    for m, p, n, value in reads:
+        assert value == finite_padic._zeta_residue(m, p, n), (m, p, n)
+        assert 0 <= value < p ** n
+    lookup = finite_padic.residue_lookups(4, 3)
+    for p in (2, 3, 7):
+        for n in (1, 2, 3):
+            zeta = lookup(p, n)
+            for m in trie_order(4 + n - 1):
+                value = zeta(m, p, n)
+                assert value == finite_padic._zeta_residue(m, p, n), (m, p, n)
+                assert 0 <= value < p ** n
+
+
+def test_a_walk_one_exponent_short_fails_the_lifted_checks(monkeypatch, capsys):
+    """Mutation: a sweep whose walk runs mod p^(N-1) reads wrong residues
+    at n = N, and the padic suite reports them as failed checks (exit 1),
+    not as a pass and not as an error."""
+    from zetaflat.cli import entry
+
+    real = finite_padic._walk
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
+                        real(p, n - 1, nodes))
+    argv = ["verify", "padic", "--max-weight", "3", "--primes", "3..13",
+            "--n-values", "1,2,3"]
+    assert entry(argv) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL padic-duality" in out and out.splitlines()[-1].startswith("FAIL")
+    assert not err
+
+
 def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
-    """Checks called one by one, as the pinning tool does, walk the branch
+    """Checks called one by one with their default lookup walk the branch
     of each index they read, once per (index, prime, exponent), and keep
     no table; a single heavy lookup walks only its own branch."""
     walks = []

@@ -13,6 +13,8 @@ read order with repeats and gaps.  Every node of the three tries that
 block forms exactly) equals the dynamic program over its own chain, and
 enumeration at small fences; and each sweep, fed that read order, gives
 the report of each check called alone; fed no task, it yields nothing.
+A run of the residue sweep that mixes exponents 1, 2 and 3 over several
+primes, with reports of missing fixtures among its tasks, does the same.
 """
 
 from fractions import Fraction
@@ -175,3 +177,38 @@ def test_trie_walks_and_sweeps_against_their_oracles(case):
         alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
         assert [key(r) for r in sweep(tasks)] == alone, sweep.__name__
         assert list(sweep([])) == [], sweep.__name__
+
+
+def mixed_task(k, check, p, n):
+    if check is cli._missing_fixture_report:
+        return check, {"check_id": "seki-lifting", "k": k, "n": n}
+    if check in (padic_duality_check, seki_lifting_check):
+        return check, {"k": k, "p": p, "n": n}
+    return check, {"k": k, "p": p}
+
+
+@st.composite
+def mixed_runs(draw):
+    """A residue sweep's tasks over two to four primes, in any order: a
+    lifted check at each exponent 1, 2 and 3, a report of a missing
+    fixture, and any further residue checks or reports."""
+    primes = draw(st.lists(st.sampled_from(primes_in(2, 31)), min_size=2,
+                           max_size=4, unique=True))
+    small = [k for k in INDICES if k.weight <= 5]
+    lifted = st.sampled_from((padic_duality_check, seki_lifting_check))
+    tasks = [mixed_task(draw(st.sampled_from(small)), draw(lifted),
+                          primes[n % len(primes)], n) for n in (1, 2, 3)]
+    tasks.append(mixed_task(draw(st.sampled_from(small)),
+                              cli._missing_fixture_report, None, 2))
+    tasks += [mixed_task(*task) for task in draw(st.lists(st.tuples(
+        st.sampled_from(small),
+        st.sampled_from(RESIDUE_CHECKS + (cli._missing_fixture_report,)),
+        st.sampled_from(primes), st.integers(1, 3)), max_size=8))]
+    return draw(st.permutations(tasks))
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_runs())
+def test_residue_sweep_mixes_exponents_and_primes(tasks):
+    alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
+    assert [key(r) for r in residue_sweep(tasks)] == alone

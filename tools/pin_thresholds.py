@@ -25,32 +25,21 @@ from zetaflat import active_backend
 from zetaflat.finite_padic import (
     PADIC_FIXTURES,
     SEKI_FIXTURES,
-    _walk,
     min_passing_prime,
     padic_duality_check,
+    residue_lookups,
     save_thresholds,
     seki_lifting_check,
 )
-from zetaflat.index_algebra import (
-    format_index,
-    indices_up_to_weight,
-    trie_order,
-)
+from zetaflat.index_algebra import format_index, indices_up_to_weight
 
 
 def residue_lookup(max_weight):
-    """A `zeta` lookup for the checks: at its first read of a pair (p, n)
-    it fills one table of every index of weight up to max_weight + n - 1,
-    all that a lifted check of weight up to max_weight reads, by one
-    `chainsum.trie_walk` of their prefix trie mod p^n (`_walk`), as
-    `residue_sweep` does for a verify run."""
-    tables = {}
-
-    def zeta(m, p, n):
-        if (p, n) not in tables:
-            tables[p, n] = _walk(p, n, trie_order(max_weight + n - 1))
-        return tables[p, n][m]
-    return zeta
+    """A `zeta` lookup for checks of weight up to max_weight at n <= 3,
+    through `residue_lookups` as `residue_sweep` reads it: one walk per
+    prime mod p^3 of every index up to weight max_weight + 2, read mod p^n."""
+    lookup = residue_lookups(max_weight, 3)
+    return lambda m, p, n: lookup(p, n)(m, p, n)
 
 
 def sweep(check, label, max_weight, lo, hi, zeta):
