@@ -121,58 +121,86 @@ def exact_quotient(num, den):
     return (num >> k) // (den >> k)
 
 
-def harmonic_tree(exps, fences, scales):
+def scaled_quotient(x, scale, den):
+    """x * scale // den for positive scale and den dividing x * scale,
+    from leading bits of x, without forming x * scale.
+
+    With x = X 2^k + u, den = b 2^k + r (0 <= u, r < 2^k) and q the
+    quotient, X scale - q b = (q r - u scale) / 2^k is an integer in
+    (-scale, q) ((-scale, 0] if q = 0).  As q < 2^(len(x) + len(scale) -
+    len(den) + 1), the k below leaves b > q + scale, so (X + 1) scale //
+    b is q.  Where k <= 0 it takes `exact_quotient` of the product.
+    """
+    k = (den.bit_length() - scale.bit_length()
+         - max(x.bit_length() - den.bit_length() + 1, 0) - 2)
+    if k <= 0:
+        return exact_quotient(x * scale, den)
+    return ((x >> k) + 1) * scale // (den >> k)
+
+
+def harmonic_tree(exps, fences, scales, entries=None, keep=False):
     """Strict harmonic chain sums at ascending fences by binary splitting.
 
     Step m maps the row vector v (v[j]: the sum of the first j terms of
     the chain over n_1 < ... < n_j < m) to v (I + sum_i e_{i,i+1} /
     m^exps[i]).  With t = max(exps) a step is the integer matrix m^t I +
     sum_i m^(t - exps[i]) e_{i,i+1} over m^t.  The steps of each gap
-    between fences multiply in a balanced tree whose every diagonal entry
-    is the product of its step denominators, multiplied once per node;
-    row i of a leaf of LEAF_STEPS steps is the first row of the suffix
-    chain exps[i:], stepped entry by entry.  At each fence N = fences[j]
-    the row is renormalised to scales[j]: row[0] becomes the scale and
-    each row[i] the exact quotient (`exact_quotient`) of row[i] times the
-    scale by the old row[0], which needs the scale times every prefix sum
-    below N to be an integer, as it is for lcm(1..N)^weight.  The new
-    row[r] is the result at N, and the next gap multiplies a row of about
-    weight N log2(e) bits.  Fences must not decrease; a repeated fence
-    takes no steps.
+    between fences multiply in a balanced tree.  Entry (i, j) of the
+    product of steps a..b-1 depends only on t, a, b and s = exps[i:j]:
+    it is the sum over the splits s = s[:u] + s[u:] of the two halves'
+    entries, or, in a leaf of LEAF_STEPS steps, the first row of a
+    subchain beginning with s, stepped entry by entry.  A node computes
+    each distinct s once, and only if `entries` (shared by the caller,
+    under (t, a, b)) lacks it; with `keep`, the top two levels of each
+    gap, where most of the multiplying is, leave theirs for a later
+    chain.  At each fence N = fences[j] the row is renormalised to
+    scales[j]: row[0] becomes the scale and each row[i] the quotient
+    (`scaled_quotient`) of row[i] times the scale by the old row[0],
+    exact because the scale times every prefix sum below N is an
+    integer, as for lcm(1..N)^weight.  The new row[r] is the result at
+    N.  Fences must not decrease; a repeated fence takes no steps.
     """
     r, t = len(exps), max(exps)
+    exps = tuple(exps)
+    subs = {exps[i:j] for i in range(r + 1) for j in range(i, r + 1)}
+    entries = {} if entries is None else entries
 
-    def leaf(a, b):
+    def leaf(a, b, node, missing):
         ds = [m ** t for m in range(a, b)]
         lifts = {e: [m ** (t - e) for m in range(a, b)] for e in set(exps)}
         diags = list(accumulate(ds, mul, initial=1))
-        mat = [[0] * i + [diags[-1]] for i in range(r + 1)]
-        for i, row in enumerate(mat):
-            hist = diags  # entry j before each step, which steps entry j + 1
-            for e in exps[i:]:
+        node[()] = diags[-1]
+        for s in sorted(missing, key=len, reverse=True):
+            if s in node:
+                continue
+            hist = diags  # entry over steps a..a+n-1, for each n
+            for c, e in enumerate(s, 1):
                 v = 0
                 hist = [0] + [v := v * d + h * lift
                               for h, d, lift in zip(hist, ds, lifts[e])]
-                row.append(v)
-        return mat
+                node[s[:c]] = v
 
-    def product(a, b):
-        if b - a <= LEAF_STEPS:
-            return leaf(a, b)
-        mid = (a + b) // 2
-        p, q = product(a, mid), product(mid, b)
-        diag = p[0][0] * q[0][0]
-        return [[diag if i == j else sum(p[i][l] * q[l][j]
-                                         for l in range(i, j + 1))
-                 for j in range(r + 1)] for i in range(r + 1)]
+    def product(a, b, level=0):
+        key = (t, a, b)
+        node = (entries.setdefault(key, {}) if keep and level < 2
+                else entries.pop(key, {}))
+        missing = [s for s in subs if s not in node]
+        if missing and b - a <= LEAF_STEPS:
+            leaf(a, b, node, missing)
+        elif missing:
+            mid = (a + b) // 2
+            p, q = product(a, mid, level + 1), product(mid, b, level + 1)
+            for s in missing:
+                node[s] = sum(p[s[:u]] * q[s[u:]] for u in range(len(s) + 1))
+        return node
 
     row, prev, out = [1] + [0] * r, 1, []
     for n, scale in zip(fences, scales):
         if n > prev:
             mat = product(prev, n)
-            row = [sum(row[l] * mat[l][j] for l in range(j + 1))
+            row = [sum(row[i] * mat[exps[i:j]] for i in range(j + 1))
                    for j in range(r + 1)]
             prev = n
-        row = [scale] + [exact_quotient(x * scale, row[0]) for x in row[1:]]
+        row = [scale] + [scaled_quotient(x, scale, row[0]) for x in row[1:]]
         out.append(row[r])
     return out

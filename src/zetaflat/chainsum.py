@@ -372,12 +372,12 @@ def endpoint_values(spec: ChainSpec, upper):
     """The final layer of the prefix-sum dynamic program, as (front, scale).
 
     front[v] / scale, for 0 <= v <= upper, is the chain sum over the
-    tuples whose last variable equals v.
+    tuples whose last variable equals v; the scale is
+    lcm(1..upper)^degree, even where no tuple fits.
     """
-    plan = _plan(spec, upper)
+    plan, lcm = _plan(spec, upper), lcm_upto(upper)
     if plan is None:
-        return [0] * (upper + 1), 1
-    lcm = lcm_upto(upper)
+        return [0] * (upper + 1), lcm ** spec.degree
     lams = [lcm ** p.weight.degree for p in spec.positions]
     return dp_sum(*plan, lams, [1] + [0] * upper), lcm ** spec.degree
 

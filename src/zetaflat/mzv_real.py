@@ -15,10 +15,10 @@ decomposition, and the convergence table for the duality defect.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from ._kernels import harmonic_tree
 from .chainsum import (
@@ -57,44 +57,45 @@ def zeta_trunc(k, upper, method="dp") -> Fraction:
 
 # A column with a gap of at least this many steps between its fences goes
 # to the product tree.  On one fence (Python 3.11, 2-core x86 VM; table in
-# BENCH_harmonic_tree.json) the tree overtakes the endpoint DP between
-# N = 256 and 512 at depths 2-8 and wins 8-18x at N = 4096.
-TREE_GAP = 1024
+# BENCH_big_fence_share.json) the tree overtakes the endpoint DP between
+# N = 192 and 448 at depths 2-4 (at 384 on (1,2)) and is 1.4-4.5x faster
+# at 512; at depth 1 it trails by at most 0.05 ms until it wins at 1024.
+TREE_GAP = 384
 
 
 def zeta_trunc_column(k, uppers, method="dp") -> list:
-    """zeta_trunc(k, N) for each fence N in `uppers`, in their order.
-
-    A sparse column (a gap of TREE_GAP or more between consecutive
-    fences, counted from 0) multiplies the steps of each gap in a product
-    tree (`harmonic_tree`), so its work grows with the fences asked for,
-    not with every n below the top one.  Any other column reads every
-    value as a partial sum of the final layer of one dynamic program at
-    the top fence: for a dense column that is one cheap step per fence,
-    where the tree would pay a one-step product, a row update and the
-    row's renormalisation to lcm(1..N)^weight at each fence, on integers
-    of that scale's size (2.7-5x slower on 0..1200).  Both paths give
-    each value exactly, as an integer over lcm(1..N)^weight.  Enumeration
-    (and a negative fence, which raises) still goes one fence at a time.
-    """
+    """zeta_trunc(k, N) for each fence N in `uppers`, in their order: from
+    one `scaled_column` at the sorted distinct fences, or by enumeration
+    (and for a negative fence, which raises) one fence at a time."""
     uppers = list(uppers)
-    spec = zeta_chain(k)
     if method != "dp" or min(uppers, default=-1) < 0:
-        return [_eval(spec, n, method) for n in uppers]
+        return [_eval(zeta_chain(k), n, method) for n in uppers]
     fences = sorted(set(uppers))
-    if max(b - a for a, b in zip([0] + fences, fences)) >= TREE_GAP:
+    table = dict(zip(fences, map(Fraction, *scaled_column(k, fences))))
+    return [table[n] for n in uppers]
+
+
+def scaled_column(k, fences, entries=None, keep=False):
+    """(values, scales), integers with zeta_trunc(k, N) = value / scale at
+    the ascending distinct fences N, every scale lcm(1..M)^weight(k).
+
+    A sparse column (a gap of TREE_GAP or more between fences, counted
+    from 0) multiplies the steps of each gap in a product tree
+    (`harmonic_tree`, sharing `entries` as `keep` says), with M = N, so
+    its work grows with the fences asked for, not with every n below the
+    top one.  Any other column reads its values as partial sums of the
+    final layer of one dynamic program at the top fence M: one cheap
+    step per fence, where the tree would pay a one-step product, a row
+    update and a renormalisation (2.7-5x slower on 0..1200).
+    """
+    spec, gaps = zeta_chain(k), list(zip((0, *fences), fences))
+    if max(b - a for a, b in gaps) >= TREE_GAP:
         scales = [lcm_upto(n) ** spec.degree for n in fences]
         exps = [p.weight.harm for p in spec.positions]
-        values = map(Fraction, harmonic_tree(exps, fences, scales), scales)
-    else:
-        front, scale = endpoint_values(spec, fences[-1])
-        values, run, prev = [], 0, 0
-        for n in fences:
-            run += sum(front[prev:n])
-            prev = n
-            values.append(Fraction(run, scale))
-    table = dict(zip(fences, values))
-    return [table[n] for n in uppers]
+        return harmonic_tree(exps, fences, scales, entries, keep), scales
+    front, scale = endpoint_values(spec, fences[-1])
+    runs = accumulate(sum(front[a:b]) for a, b in gaps)
+    return list(runs), [scale] * len(fences)
 
 
 def zeta_star_trunc(k, upper, method="dp") -> Fraction:
@@ -303,23 +304,32 @@ class ConvergenceRow(namedtuple("ConvergenceRow", ("upper", "diff", "decimal")))
     __slots__ = ()
 
 
-def duality_convergence(k, uppers, method="dp", *,
-                        column=zeta_trunc_column) -> list:
+def duality_convergence(k, uppers, method="dp") -> list:
     """Table of |zeta_trunc(k, N) - zeta_trunc(dual(k), N)| over fences N,
-    each side read as `column(index, tuple of fences, method)`."""
+    each side read from one `zeta_trunc_column`."""
     k = as_index(k)
     kd = dual(k)
     uppers = tuple(uppers)
-    diffs = [abs(a - b) for a, b in zip(column(k, uppers, method),
-                                        column(kd, uppers, method))]
+    diffs = [abs(a - b) for a, b in zip(zeta_trunc_column(k, uppers, method),
+                                        zeta_trunc_column(kd, uppers, method))]
     return [ConvergenceRow(upper=n, diff=d, decimal=decimal_str(d))
             for n, d in zip(uppers, diffs)]
 
 
 def duality_sweep(tasks):
-    """The report of each (check, kwargs) task, in order; the checks read
-    their columns through one cache local to the sweep, so each distinct
-    (index, fences) column is computed once, at its first read."""
-    column = lru_cache(maxsize=None)(zeta_trunc_column)
+    """The report of each (check, kwargs) task, in order.  The checks read
+    the `scaled_column`s of kwargs["k"] and its dual through a cache local
+    to the sweep, each computed once, at its first read, and sharing a
+    table of tree entries while a later column of its top exponent comes."""
+    tasks = list(tasks)
+    later = Counter(max(k) for k in dict.fromkeys(
+        k for _, kwargs in tasks for k in (kwargs["k"], dual(kwargs["k"]))))
+    entries = {}
+
+    @lru_cache(maxsize=None)
+    def column(k, fences):
+        later[max(k)] -= 1
+        return scaled_column(k, fences, entries, later[max(k)] > 0)
+
     for check, kwargs in tasks:
         yield check(**kwargs, column=column)

@@ -23,18 +23,19 @@ def fraction_str(q) -> str:
 
 
 def decimal_str(q, places=12) -> str:
-    """Exact decimal rendering of a rational, round-half-even.
-
-    Computed in integer arithmetic; no floats involved.
-    """
+    """Exact decimal rendering of a rational, round-half-even."""
     q = Fraction(q)
+    return ratio_str(q.numerator, q.denominator, places)
+
+
+def ratio_str(num, den, places=12) -> str:
+    """`decimal_str` of num / den, den > 0, in lowest terms or not (a common
+    factor scales remainder and divisor alike), in integer arithmetic."""
     if places < 0:
         raise ValueError("places must be non-negative")
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = q.numerator * 10 ** places
-    quo, rem = divmod(scaled, q.denominator)
-    if 2 * rem > q.denominator or (2 * rem == q.denominator and quo % 2 == 1):
+    sign = "-" if num < 0 else ""
+    quo, rem = divmod(abs(num) * 10 ** places, den)
+    if 2 * rem > den or (2 * rem == den and quo % 2 == 1):
         quo += 1
     digits = str(quo).rjust(places + 1, "0")
     if places == 0:

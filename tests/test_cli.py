@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,12 @@ from zetaflat.finite_padic import (
     primes_in,
     save_thresholds,
 )
-from zetaflat.index_algebra import Index, format_index, indices_up_to_weight
+from zetaflat.index_algebra import (
+    Index,
+    dual,
+    format_index,
+    indices_up_to_weight,
+)
 from zetaflat.mzv_real import (
     log2_discretization_check,
     main_identity_check,
@@ -224,6 +230,56 @@ def test_verify_duality_r_fails_a_rise_after_the_empty_fences(capsys):
     assert code == 0 and json.loads(out)["pass"]
 
 
+def fraction_verdict(k, lo, hi, rows):
+    """lhs, rhs and pass of a duality-r report, computed as they were
+    before the integer verdicts: from `duality_convergence`'s Fraction
+    rows, ordered with a set and rendered by decimal_str."""
+    diffs = [r.diff for r in rows]
+    decs = [r.decimal for r in rows]
+    empty = sum(r.upper <= max(k.depth, dual(k).depth) for r in rows)
+    held = diffs[empty:]
+    passed, want = True, decs
+    if any(diffs):
+        passed = all(b < a for a, b in zip(held, held[1:]))
+        want = decs[:empty] + [decimal_str(d)
+                               for d in sorted(set(held), reverse=True)]
+    lhs, rhs = "; ".join(decs), "; ".join(want)
+    return lhs, rhs, passed and lhs == rhs
+
+
+@pytest.mark.parametrize("k, lo, hi, change, passed", [
+    ((2, 2), 0, 11, None, True),  # self-dual: every defect is 0
+    ((1, 1, 2), 0, 12, None, True),  # 1 and 2 lie at or below the depth
+    ((1, 2), 4, 9, "tie", False),
+    ((3,), 3, 12, "rise", False),
+    ((1, 3, 2), 0, 12, None, False),
+])
+def test_integer_verdicts_equal_fraction_verdicts(k, lo, hi, change, passed,
+                                                  monkeypatch):
+    """The report built from integer defects over their scales has the
+    lhs, rhs and verdict of the one built from Fraction rows.  A tie or a
+    rise is forced at the fifth fence by changing k's column there, to
+    the defect at the fourth fence or twice it."""
+    k = Index(k)
+
+    def column(index, fences):
+        values, scales = mzv_real.scaled_column(index, fences)
+        if change and index == k:
+            theirs, _ = mzv_real.scaled_column(dual(k), fences)
+            before = abs(values[3] - theirs[3]) * (scales[4] // scales[3])
+            values = values[:4] + [theirs[4] + before * (
+                1 if change == "tie" else 2)] + values[5:]
+        return values, scales
+
+    report = cli._duality_r_report(k, lo, hi, column=column)
+    monkeypatch.setattr(mzv_real, "zeta_trunc_column", lambda index, uppers, _:
+                        [Fraction(*pair) for pair in zip(*column(index, uppers))])
+    rows = mzv_real.duality_convergence(k, [2 ** j for j in range(lo, hi + 1)])
+    assert (report.lhs, report.rhs, report.passed) \
+        == fraction_verdict(k, lo, hi, rows)
+    assert report.passed == passed
+
+
 def output_digest(out):
     """sha256 prefix of a CLI's stdout, each JSON report without its
     elapsed_ms."""
@@ -270,11 +326,13 @@ def test_verify_duality_r_builds_each_column_once(argv, code, trees, digest,
         assert (got, calls, output_digest(out)) == (code, trees, digest)
 
 
-# One small run of each suite, and three more: `main` on the enumeration
-# oracle, a `padic` grid past the pinned thresholds (its missing entries
-# fail) and a run under `--jobs 2`.  The digests are those of the package
-# before its three trie walks became `chainsum.trie_walk`, so a refactor
-# that changes any report, verdict or exit code fails here.
+# One small run of each suite, and more: `main` on the enumeration oracle,
+# `duality-r` on the product tree (9..11, and 4..10, pinned while the
+# dynamic program still served it), a `padic` grid past the pinned
+# thresholds (its missing entries fail) and a run under `--jobs 2`.  The
+# digests are those of the package before its three trie walks became
+# `chainsum.trie_walk`, so a refactor that changes any report, verdict or
+# exit code fails here.
 PINNED_RUNS = [
     (["main", "--max-weight", "3", "--max-upper", "6"], 0, "4ba07ea5ff456959"),
     (["main", "--max-weight", "3", "--max-upper", "6", "--method", "enum"], 0,
@@ -284,6 +342,7 @@ PINNED_RUNS = [
      "07b01226c3262d6d"),
     (["duality-r", "--powers", "3..6"], 0, "f2737f52ea1c5843"),
     (["duality-r", "--powers", "9..11"], 0, "f68507407a88f4e5"),
+    (["duality-r", "--powers", "4..10"], 0, "ef2603b825dad6fe"),
     (["duality-a", "--max-weight", "3", "--primes", "3..13"], 0,
      "4a6f10365bea24bc"),
     (["antipode", "--max-weight", "3", "--primes", "3..13"], 0,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaflat import _kernels, mzv_real
-from zetaflat._kernels import exact_quotient, harmonic_tree
+from zetaflat._kernels import exact_quotient, harmonic_tree, scaled_quotient
 from zetaflat.chainsum import (
     ChainSpec,
     Position,
@@ -41,10 +41,12 @@ from zetaflat.mzv_real import (
     ConvergenceRow,
     discrepancy,
     duality_convergence,
+    duality_sweep,
     log2_discretization_check,
     main_identity_check,
     main_sweep,
     riemann_sum,
+    scaled_column,
     zeta_flat,
     zeta_star_trunc,
     zeta_trunc,
@@ -299,6 +301,31 @@ def test_exact_quotient_long_divisors():
             assert exact_quotient(q * d, d) == q, (bits, length)
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 31, 32, 33, 64, 65, 130, 1000])
+def test_scaled_quotient_every_quotient_length(bits):
+    """scaled_quotient(x, scale, den) == x * scale // den where den divides
+    x * scale: den = d e for divisors d, e of `bits` bits, scale = f e and
+    x = a d, so the quotient is a f.  a runs through 0, 1 and every length
+    up to `bits` (a power of two, all ones or random) and f through one
+    bit, half and all of `bits`, so quotients take every length up to
+    2 bits, on both sides of the full-product branch."""
+    rng = random.Random(bits)
+    top = 1 << bits - 1
+    branches = set()
+    e = rng.getrandbits(bits) | top
+    for d in (top, 2 * top - 1, rng.getrandbits(bits) | top):
+        for f in (1, rng.getrandbits(bits // 2) | 1 << bits // 2 >> 1,
+                  rng.getrandbits(bits) | top):
+            for length in range(bits + 1):
+                low = 1 << length >> 1
+                for a in (low, (1 << length) - 1, rng.getrandbits(length) | low):
+                    x, scale, den = a * d, f * e, d * e
+                    assert scaled_quotient(x, scale, den) == a * f, (d, f, a)
+                    branches.add(den.bit_length() - scale.bit_length() - max(
+                        x.bit_length() - den.bit_length() + 1, 0) - 2 > 0)
+    assert branches == ({False} if bits <= 2 else {False, True})
+
+
 def tree_values(k, fences):
     """The product-tree kernel's output for zeta_chain(k): the sum below
     each fence N times lcm(1..N)^weight."""
@@ -324,8 +351,8 @@ def test_harmonic_tree_equals_enumeration(leaf, monkeypatch):
 def test_harmonic_tree_equals_endpoint_partial_sums():
     """Sparse fences on both sides of the cutoff: long gaps run through
     many tree levels, short ones stay inside one leaf."""
-    fences = [2, 3, 17, 100, 700, TREE_GAP - 1, TREE_GAP, TREE_GAP + 1,
-              1500, 2 ** 11]
+    fences = sorted([2, 3, 17, 100, 700, TREE_GAP - 1, TREE_GAP,
+                     TREE_GAP + 1, 1500, 2 ** 11])
     for k in CONVERGENCE_INDICES:
         for side in (k, tuple(dual(k))):
             front, scale = endpoint_values(zeta_chain(side), fences[-1])
@@ -373,6 +400,49 @@ def test_harmonic_tree_edge_fences():
                        for n in fences], k
         assert not any(v for n, v in zip(fences, got) if n <= len(k)), k
         assert all(v for n, v in zip(fences, got) if n > len(k)), k
+
+
+def read_columns(k, fences, *, column):
+    """What a duality-r check reads: the columns of k and of its dual."""
+    return column(k, fences), column(dual(k), fences)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ks=st.lists(st.sampled_from([k for k in indices_up_to_weight(5)
+                                    if k and k.admissible]),
+                   min_size=1, max_size=4),
+       fences=st.lists(st.integers(0, 200), min_size=1, max_size=5,
+                       unique=True),
+       leaf=st.sampled_from([1, 3, _kernels.LEAF_STEPS]))
+def test_duality_sweep_shared_entries_equal_columns_alone(ks, fences, leaf):
+    """Differential test of the table of product-tree entries that
+    `duality_sweep` shares among its columns: 1-4 admissible indices of
+    weight <= 5 (top exponents 2-5, repeats, any order), every gap on the
+    tree, and leaves of 1, 3 or LEAF_STEPS steps.  Every column the sweep
+    yields equals the column computed alone and, at fences <= 12,
+    enumeration; each of two sweeps starts from an empty table."""
+    fences = tuple(sorted(fences))
+    tasks = [(read_columns, {"k": k, "fences": fences}) for k in ks]
+    tables = []
+    real = mzv_real.harmonic_tree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "LEAF_STEPS", leaf)
+        patch.setattr(mzv_real, "TREE_GAP", 1)
+        patch.setattr(mzv_real, "harmonic_tree", lambda exps, *rest:
+                      tables.append(-1 if rest[2] is None else len(rest[2]))
+                      or real(exps, *rest))
+        for _ in range(2):
+            tables.clear()
+            swept = list(duality_sweep(tasks))
+            assert tables[:1] in ([], [0])
+            for k, columns in zip(ks, swept):
+                for index, (values, scales) in zip((k, dual(k)), columns):
+                    assert (values, scales) == scaled_column(index, fences), \
+                        index
+                    for n, value, scale in zip(fences, values, scales):
+                        if n <= 12:
+                            assert Fraction(value, scale) == eval_enum(
+                                zeta_chain(index), n), (index, n)
 
 
 @pytest.mark.parametrize("fences, tree", [
