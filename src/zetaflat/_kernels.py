@@ -4,13 +4,13 @@ product tree for strict harmonic chains.
 The first three work on a pre-validated plan: per-position rows indexed
 by n, strictness flags for the relation entering each position, and the
 feasible band [lbs[i], ubs[i]], the only part of a row a kernel reads.
-For the exact kernels a row holds the denominators `dens[i][n]`, and
-values are carried as integers scaled by a common denominator; the scale
-is a multiple of every denominator product, so every division below is
-exact.  For the residue kernel a row holds the inverse denominators.
-Both dynamic programs start from a given layer and return their final
-one, the value at each endpoint, so a chain can be extended one
-position at a time, as `chainsum.trie_walk` extends it over a trie of
+Exact values are integers scaled by a common denominator: enumeration
+divides a multiple of every denominator product by the denominators
+`dens[i][n]`, and the exact dynamic program multiplies by lam_i //
+dens[i][n], for a per-position scale lam_i; the residue one multiplies by
+inverse denominators.  Both programs start from a given layer and return
+their final one, the value at each endpoint, so a chain can be extended
+one position at a time, as `chainsum.trie_walk` extends it over a trie of
 indices.
 
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
@@ -20,7 +20,7 @@ quotient (`exact_quotient`), since the scale times every prefix sum of
 the chain is an integer.
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 
 
@@ -50,32 +50,22 @@ def enum_sum(dens, stricts, lbs, ubs, scale):
     return rec(0, 0, scale)
 
 
-def dp_sum(dens, stricts, lbs, ubs, lams, front):
-    """Prefix-sum dynamic program over the same plan.
+def dp_sum(rows, stricts, lbs, ubs, front):
+    """Prefix-sum dynamic program over a plan of multiplier rows.
 
-    Layer i holds, for each endpoint value n, the scaled sum over all
-    partial tuples ending at n; `lams[i]` is the per-layer scale factor
-    (a multiple of every dens[i][n] on the band).  `front` is the layer
-    the program starts from: [1, 0, 0, ...] for a whole chain, or the
-    final layer of a prefix to extend it by the planned positions.
-    Returns the final layer, whose entries vanish off the last band and
-    add up to the scaled sum of the whole chain.
+    `rows[i]` yields lam_i // dens[i][n] for lbs[i] <= n <= ubs[i] (`_plan`).
+    `front` is the layer the program starts from: [1, 0, 0, ...] for a
+    whole chain, or the final layer of a prefix to extend it by the
+    planned positions.  Layer i is the prefix sums of layer i - 1 (through
+    n - 1 for a strict relation, through n for a weak one) times the row
+    entries on the band.  Returns the final layer, whose entries vanish
+    off the last band and add up to the chain sum scaled by every lam_i.
     """
-    size = len(dens[0])
-    for i in range(len(dens)):
-        lo, hi = lbs[i], ubs[i]
-        lam = lams[i]
-        d = dens[i]
+    size = len(front)
+    for row, strict, lo, hi in zip(rows, stricts, lbs, ubs):
+        runs = islice(accumulate(front), lo - 1 if strict else lo, None)
         nxt = [0] * size
-        run = 0
-        ptr = 0
-        for n in range(lo, hi + 1):
-            target = n - 1 if stricts[i] else n
-            while ptr <= target:
-                run += front[ptr]
-                ptr += 1
-            if run:
-                nxt[n] = (lam // d[n]) * run
+        nxt[lo:hi + 1] = map(mul, row, runs)  # row first: no sum past hi
         front = nxt
     return front
 

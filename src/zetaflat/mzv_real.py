@@ -35,7 +35,7 @@ from .chainsum import (
     zeta_star_chain,
 )
 from .index_algebra import as_index, dual, format_index
-from .reports import decimal_str, make_report
+from .reports import decimal_str, make_report, ratio_report
 
 
 def _eval(spec, upper, method):
@@ -202,10 +202,11 @@ def main_identity_check(k, upper, method="dp"):
 def main_sweep(tasks):
     """`main_identity_check` for each (check, kwargs) task, in order, swept
     in `budget_runs`.  An index reads its strict sums from one
-    `zeta_trunc_column` to its run's top fence.  A fence's first read in a
+    `scaled_column` to its run's top fence.  A fence's first read in a
     run walks the run's branches; the fence keeps lcm(1..N) and a list of
     the run's indices' values, each taken as read, until its last read.
-    Any other read (again, --method enum, fences 0 and 1) takes `zeta_flat`."""
+    Any other read (again, --method enum, fences 0 and 1) takes `zeta_flat`,
+    and the sides meet as integers over their scales (`ratio_report`)."""
     for run, ks, nodes, last in budget_runs(tasks, "main"):
         top, column_of, tables = max(last), None, {}
         for i, (_, kwargs) in enumerate(run):
@@ -215,17 +216,20 @@ def main_sweep(tasks):
                 column_of = kwargs["k"]
                 k = as_index(column_of)
                 name, place, weight = format_index(k), ks[k], k.weight
-                column = zeta_trunc_column(k, range(top + 1), method)
+                fences = range(top + 1)
+                column, scales = (scaled_column(k, fences) if method == "dp" else
+                                  zip(*map(Fraction.as_integer_ratio,
+                                           zeta_trunc_column(k, fences, method))))
             if upper not in tables:
                 dp = method == "dp" and upper > 1
                 values = _flat_walk(upper, nodes, ks) if dp else {}
                 tables[upper] = list(map(values.get, ks)), lcm_upto(upper)
             values, lam = tables[upper] if last[upper] > i else tables.pop(upper)
             value, values[place] = values[place], None
-            flat = (zeta_flat(k, upper, method) if value is None
-                    else Fraction(value, lam ** weight))
-            yield make_report("main", {"k": name, "N": upper},
-                              column[upper], flat, started)
+            flat = (zeta_flat(k, upper, method).as_integer_ratio()
+                    if value is None else (value, lam ** weight))
+            yield ratio_report("main", {"k": name, "N": upper},
+                               (column[upper], scales[upper]), flat, started)
 
 
 def riemann_sum(k, upper, method="dp") -> Fraction:
@@ -292,9 +296,9 @@ def log2_discretization_check(upper):
     started = time.perf_counter()
     den = lcm_upto(2 * upper - 1)
     q = [den // j for j in range(1, 2 * upper)]  # 1/j over den, j < 2N
-    lhs = Fraction(sum(q[::2]) - sum(q[1::2]), den)
-    rhs = Fraction(sum(q[upper - 1:]), den)
-    return make_report("log2", {"upper": upper}, lhs, rhs, started)
+    lhs = sum(q[::2]) - sum(q[1::2]), den
+    rhs = sum(q[upper - 1:]), den
+    return ratio_report("log2", {"upper": upper}, lhs, rhs, started)
 
 
 class ConvergenceRow(namedtuple("ConvergenceRow", ("upper", "diff", "decimal"))):

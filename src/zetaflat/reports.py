@@ -2,9 +2,10 @@
 
 Every check in the package returns a VerificationReport: the check id, the
 rendered inputs, both sides as canonical strings, the verdict, and the
-elapsed wall time.  The verdict is exactly string identity of the two
-sides, so there is no tolerance hiding anywhere; a rational renders as
-"num/den" (always with the denominator), a residue as "value mod modulus".
+elapsed wall time.  The verdict is exact equality of the two canonical
+strings or, by cross-multiplication, of two integer ratios (`ratio_report`),
+so no tolerance hides anywhere; a rational renders as "num/den" in lowest
+terms (always with the denominator), a residue as "value mod modulus".
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from math import gcd
 
 from .chainsum import Residue
 
@@ -92,9 +94,9 @@ class VerificationReport:
         finite; otherwise by json.dumps."""
         inputs, notes = self.inputs, self.notes
         ms = round(self.elapsed * 1000.0, 3)
-        try:
-            text = "".join((self.check_id, self.lhs, self.rhs, *inputs,
-                            *inputs.values(), *notes))
+        try:  # equal sides are often one string: scan it once
+            text = "".join((self.check_id, self.lhs, "" if self.rhs is self.lhs
+                            else self.rhs, *inputs, *inputs.values(), *notes))
         except TypeError:  # some value is not a string
             text = "\\"
         if (not text.isascii() or not text.isprintable() or '"' in text
@@ -124,3 +126,20 @@ def make_report(check_id, inputs, lhs_value, rhs_value, started,
     return VerificationReport(
         check_id, {k: str(v) for k, v in inputs.items()}, lhs, rhs,
         lhs == rhs, time.perf_counter() - started, notes)
+
+
+def ratio_report(check_id, inputs, lhs, rhs, started) -> VerificationReport:
+    """`make_report` on rationals given as (num, den) sides, den > 0, in
+    any terms: compared by cross-multiplication, and an equal pair
+    rendered once, from the side with the smaller denominator."""
+    passed = lhs[0] * rhs[1] == rhs[0] * lhs[1]
+    lhs = _lowest(*(rhs if passed and rhs[1] < lhs[1] else lhs))
+    rhs = lhs if passed else _lowest(*rhs)
+    return VerificationReport(
+        check_id, {k: str(v) for k, v in inputs.items()}, lhs, rhs,
+        passed, time.perf_counter() - started)
+
+
+def _lowest(num, den) -> str:
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"

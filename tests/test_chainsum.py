@@ -245,17 +245,16 @@ def test_dp_extends_a_prefix_layer():
         for upper in range(0, 9):
             if not spec_is_safe(spec, upper):
                 continue
-            plan = _plan(spec, upper)
+            plan = _plan(spec, upper, multipliers=True)
             want, _ = endpoint_values(spec, upper)
             if plan is None:
                 assert not any(want)
                 continue
-            lcm = lcm_upto(upper)
+            rows = [list(row) for row in plan[0]]  # the plan's rows are lazy
             for j in range(1, spec.length):
                 front, _ = endpoint_values(ChainSpec(spec.positions[:j]), upper)
-                tail = [col[j:] for col in plan]
-                lams = [lcm ** p.weight.degree for p in spec.positions[j:]]
-                assert dp_sum(*tail, lams, front) == want, (spec, upper, j)
+                tail = [col[j:] for col in (rows, *plan[1:])]
+                assert dp_sum(*tail, front) == want, (spec, upper, j)
                 done += 1
     assert done > 200
 
@@ -288,6 +287,43 @@ def test_plan_rows_are_cached_denominators():
         seen["reflected weight"] += any(p.weight.refl for p in spec.positions)
         seen["weak terminal"] += not spec.terminal_strict
         done += 1
+    assert all(seen.values()), seen
+
+
+def test_dp_plan_rows_are_exact_multipliers():
+    """On every band point of every plan drawn, the exact program's row
+    entry q satisfies q * den == lam, lam = lcm(1..N)^degree of the
+    position, and planning divides by no zero denominator off the band:
+    random chains, strict and weak at both ends, harmonic and reflected
+    weights, fences 0..9 with 1 and 2 drawn often, and the one-position
+    plans of the trie walk."""
+    rng = random.Random(2357)
+    specs = [ChainSpec((Position(w, True),)) for w in (HARMONIC, REFLECTED)]
+    specs += [random_spec(rng) for _ in range(200)]
+    seen = {"weak entry": 0, "weak terminal": 0, "reflected weight": 0,
+            "off-band zero": 0, "fence 1": 0, "fence 2": 0}
+    for spec in specs:
+        for upper in (1, 2, rng.randint(0, 9)):
+            if not spec_is_safe(spec, upper):
+                continue
+            plan = _plan(spec, upper, multipliers=True)
+            if plan is None:
+                continue
+            rows, _, lbs, ubs = plan
+            lcm = lcm_upto(upper)
+            for pos, row, lo, hi in zip(spec.positions, rows, lbs, ubs):
+                w, row = pos.weight, list(row)
+                assert len(row) == hi - lo + 1
+                for n in range(lo, hi + 1):
+                    den = w.denominator_at(n, upper)
+                    assert row[n - lo] * den == lcm ** w.degree, (spec, upper, n)
+                seen["off-band zero"] += any(
+                    w.denominator_at(n, upper) == 0
+                    for n in range(upper + 1) if not lo <= n <= hi)
+                seen["reflected weight"] += w.refl > 0
+                seen["weak entry"] += not pos.strict_before
+            seen["weak terminal"] += not spec.terminal_strict
+            seen[f"fence {upper}"] = seen.get(f"fence {upper}", 0) + 1
     assert all(seen.values()), seen
 
 

@@ -605,3 +605,33 @@ def test_sweep_computes_each_lcm_once(monkeypatch, capsys):
     assert main(["verify", "main", "--max-weight", "2", "--max-upper", "80"]) == 0
     capsys.readouterr()
     assert len(calls) <= 81
+
+
+def test_sweep_fails_on_one_changed_flat_value(monkeypatch, capsys):
+    """main_sweep decides on integers: add 1 to the flat value of (2, 1)
+    at fence 7 and verify main exits 1 with that one check failing, its
+    sides the two values as fraction_str renders them."""
+    import json
+
+    from zetaflat.cli import main
+
+    k, fence = (2, 1), 7
+    strict = zeta_trunc(k, fence)
+    flat = zeta_flat(k, fence) + Fraction(1, lcm_upto(fence) ** 3)
+    assert strict != flat
+    real = mzv_real._flat_walk
+
+    def walk(upper, nodes, *keep):
+        values = real(upper, nodes, *keep)
+        if upper == fence:
+            values[k] += 1
+        return values
+
+    monkeypatch.setattr(mzv_real, "_flat_walk", walk)
+    assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9",
+                 "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "FAIL 134/135"
+    failed = [r for r in map(json.loads, out.splitlines()) if not r["pass"]]
+    assert [(r["inputs"], r["lhs"], r["rhs"]) for r in failed] == [
+        ({"k": "2,1", "N": "7"}, fraction_str(strict), fraction_str(flat))]

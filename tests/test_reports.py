@@ -7,13 +7,14 @@ it.  A string that needs an escape sends the report to json.dumps.
 
 import json
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaflat import cli, reports
-from zetaflat.reports import VerificationReport, make_report
+from zetaflat.reports import VerificationReport, make_report, ratio_report
 
 from test_cli import PINNED_RUNS
 
@@ -96,3 +97,26 @@ def test_make_report_renders_inputs_and_keeps_notes():
     r = make_report("telescope", {"k": "2,1", "N": 7}, 1, 1, 0.0, notes=notes)
     assert r.inputs == {"k": "2,1", "N": "7"} and r.notes is notes
     assert make_report("log2", {"upper": 3}, 1, 2, 0.0).notes == {}
+
+
+numerators = st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40))
+scales = st.integers(1, 10 ** 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=st.tuples(numerators, scales), rhs=st.tuples(numerators, scales),
+       factor=st.integers(1, 10 ** 12), same=st.booleans())
+def test_ratio_report_is_make_report_on_fractions(lhs, rhs, factor, same):
+    """Integer sides over their scales give the verdict and the strings
+    that `make_report` gives on the Fractions, zero and negative values
+    and equal values over different scales among them; an equal pair's
+    sides are one string, and its line is json.dumps's."""
+    if same:
+        rhs = lhs[0] * factor, lhs[1] * factor
+    inputs = {"k": "1,2", "N": 5}
+    got = ratio_report("main", inputs, lhs, rhs, 0.0)
+    want = make_report("main", inputs, Fraction(*lhs), Fraction(*rhs), 0.0)
+    assert (got.passed, got.lhs, got.rhs, got.inputs) == (
+        want.passed, want.lhs, want.rhs, want.inputs)
+    assert got.passed is (got.lhs is got.rhs)
+    assert got.json_line() == dumps(got)
