@@ -16,7 +16,7 @@ indices.
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
 chain (what `zeta_chain` compiles to) and sorted fences.  At each fence
 it renormalises its row to the scale given there, every entry an exact
-quotient (`exact_quotient`), since the scale times every prefix sum of
+quotient (`scaled_quotient`), since the scale times every prefix sum of
 the chain is an integer.
 """
 
@@ -97,20 +97,6 @@ def dp_sum_mod(rows, stricts, lbs, ubs, modulus, front):
 LEAF_STEPS = 32
 
 
-def exact_quotient(num, den):
-    """num // den for a positive den that divides num, from leading bits.
-
-    After a shift by k = 2 len(den) - len(num) - 2 bits, b = den >> k
-    exceeds the quotient q and num >> k = q b + floor(q (den mod 2^k) /
-    2^k), whose last term is below q; so (num >> k) // b, quadratic in
-    q's length, is q.  Where k <= 0, or num is 0, it divides in full.
-    """
-    k = 2 * den.bit_length() - num.bit_length() - 2
-    if k <= 0 or not num:
-        return num // den
-    return (num >> k) // (den >> k)
-
-
 def scaled_quotient(x, scale, den):
     """x * scale // den for positive scale and den dividing x * scale,
     from leading bits of x, without forming x * scale.
@@ -119,12 +105,12 @@ def scaled_quotient(x, scale, den):
     quotient, X scale - q b = (q r - u scale) / 2^k is an integer in
     (-scale, q) ((-scale, 0] if q = 0).  As q < 2^(len(x) + len(scale) -
     len(den) + 1), the k below leaves b > q + scale, so (X + 1) scale //
-    b is q.  Where k <= 0 it takes `exact_quotient` of the product.
+    b is q.  Where k <= 0 it divides the product in full.
     """
     k = (den.bit_length() - scale.bit_length()
          - max(x.bit_length() - den.bit_length() + 1, 0) - 2)
     if k <= 0:
-        return exact_quotient(x * scale, den)
+        return x * scale // den
     return ((x >> k) + 1) * scale // (den >> k)
 
 

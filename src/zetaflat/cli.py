@@ -232,8 +232,8 @@ def cmd_eval(args):
 
 def _telescope_report(k, upper):
     started = time.perf_counter()
-    values = [stage.value for stage in telescope(k, upper).stages]
-    return telescope_report(format_index(k), upper, values, started)
+    stages = [s.value.as_integer_ratio() for s in telescope(k, upper).stages]
+    return telescope_report(format_index(k), upper, stages, started)
 
 
 def _transport_sweep_report(which, upper):

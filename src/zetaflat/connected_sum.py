@@ -16,10 +16,11 @@ sum_{u >= v} binom(u, v) b[N - u], which `binomial_sums` forms for every
 v at once by additions only (a Taylor shift by 1), over the denominator
 lcm_v binom(N, v).
 
-`telescope` and `connected_sum` evaluate one stage at a time and stay the
-independent path; `verify telescope` runs `telescope_sweep`, which gives
-the same stages from the left layers, right sides and `_flat_walk`s that
-its routes share.
+`telescope` and `connected_sum` evaluate one stage at a time, as
+Fractions, and stay the independent path; `verify telescope` runs
+`telescope_sweep`, which gives the same stages, integers over their
+scales, from the left layers, right sides and `_flat_walk`s its routes
+share.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .chainsum import (
     lcm_upto,
     reflect_chain,
     tilde_chain,
-    trie_walk,
     zeta_chain,
 )
 from .index_algebra import Index, as_index, format_index
-from .mzv_real import _flat_walk, budget_runs
-from .reports import fraction_str, make_report
+from .mzv_real import _flat_walk, _prefix_walk, budget_runs
+from .reports import fraction_str, make_report, ratio_report
 
 
 @lru_cache(maxsize=1 << 13)
@@ -150,7 +150,8 @@ def connected_sum(upper, left, right) -> Fraction:
     if not left:
         return eval_dp(flat_chain(right), upper + 1)
     left_values = endpoint_values(zeta_chain(left), upper + 1)
-    return _connected_sums(right, upper, _binomials(upper), [left_values])[0]
+    return Fraction(*_connected_sums(right, upper, _binomials(upper),
+                                     [left_values])[0])
 
 
 def binomial_sums(x) -> list:
@@ -179,8 +180,8 @@ def _binomials(upper):
 
 
 def _connected_sums(right, upper, binomials, lefts):
-    """Z_N(left | right) for the endpoint values (a, sa) of zeta_chain(left)
-    at fence N + 1 or above, for each left side in `lefts`.
+    """(num, den) of Z_N(left | right) for the endpoint values (a, sa) of
+    zeta_chain(left) at fence N + 1 or above, for each left side in `lefts`.
 
     With (b, sb) the endpoint values of the reflected tilde_chain(right)
     at N, and (cofactors, den) = `binomials`, the sum is
@@ -189,7 +190,7 @@ def _connected_sums(right, upper, binomials, lefts):
     b, sb = endpoint_values(reflect_chain(tilde_chain(right)), upper)
     cofactors, den = binomials
     w = list(map(mul, cofactors, binomial_sums(b[::-1])))
-    return [Fraction(sum(map(mul, a, w)), sa * sb * den) for a, sa in lefts]
+    return [(sum(map(mul, a, w)), sa * sb * den) for a, sa in lefts]
 
 
 class TelescopeStage(namedtuple("TelescopeStage", ("left", "right", "value"))):
@@ -253,36 +254,39 @@ def telescope(k, upper) -> TelescopeTrace:
     return TelescopeTrace(index=k, upper=upper, stages=tuple(stages))
 
 
-def telescope_report(name, upper, values, started):
+def telescope_report(name, upper, stages, started):
     """The `verify telescope` report of one route from its stage values,
-    for the index that `format_index` renders as `name`.
+    each an integer pair (num, den), den > 0, in any terms, for the index
+    that `format_index` renders as `name`: stage 0 against stage r if every
+    stage equals stage 0 by cross-multiplication, else "stages diverge".
 
     The end stages are zeta_trunc(k, N+1) and zeta_flat(k, N+1) by the
     boundary convention of connected_sum.
     """
-    last = values[-1] if all(v == values[0] for v in values) else "stages diverge"
-    return make_report("telescope", {"k": name, "N": upper},
-                       values[0], last, started, notes={"stages": len(values)})
+    num, den = stages[0]
+    last = (stages[-1] if all(a * den == num * b for a, b in stages[1:])
+            else "stages diverge")
+    return ratio_report("telescope", {"k": name, "N": upper}, stages[0],
+                        last, started, notes={"stages": len(stages)})
 
 
 def telescope_sweep(tasks):
     """`telescope_report` of each (check, kwargs) task, in order, swept in
-    `budget_runs`.  In a run, one `trie_walk` of the prefix trie at the top
-    fence + 1 gives every left layer and stage 0 (endpoint values of
-    zeta_chain(left) at v <= N do not depend on the fence); the first read
-    of a (suffix, fence) evaluates its right side, on the fence's binomial
-    cofactors, for every route ending in it (`_connected_sums`); stage r
-    comes from one `_flat_walk` per fence + 1 that keeps the run's indices.
-    Stages are popped as read, and a fence's tables go after its last task
-    in the run.  A route read again, its stages taken, runs `telescope`."""
+    `budget_runs`.  In a run, one `_prefix_walk` at the top fence + 1
+    gives every left layer and stage 0 (endpoint values of zeta_chain(left)
+    at v <= N do not depend on the fence); the first read of a (suffix,
+    fence) evaluates its right side, on the fence's binomial cofactors, for
+    every route ending in it (`_connected_sums`); stage r comes from one
+    `_flat_walk` per fence + 1 that keeps the run's indices.  Each stage is
+    an integer pair, popped as read, and a fence's tables go after its last
+    task in the run.  A route read again, its stages taken, runs `telescope`."""
     for run, ks, nodes, last in budget_runs(tasks, "telescope"):
         named = {k: (as_index(k), format_index(k)) for k in ks}
         routes = [(named[kwargs["k"]][0], kwargs["upper"]) for _, kwargs in run]
         top = max(last) + 1
         prefixes = sorted({k[:i] for k in ks for i in range(1, len(k) + 1)})
-        steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in prefixes}}
-        layers = trie_walk(top, ((len(m), steps[m[-1]]) for m in prefixes))
-        lefts = {m: (layer, lcm_upto(top) ** sum(m)) for m, layer in zip(prefixes, layers)}
+        lefts = {m: (layer, lcm_upto(top) ** sum(m))
+                 for m, layer in zip(prefixes, _prefix_walk(top, prefixes))}
         readers, fences, middles = {}, {}, {}
         for k, n in dict.fromkeys(routes):
             for j in range(1, k.depth):
@@ -293,10 +297,10 @@ def telescope_sweep(tasks):
                 fences[n] = _binomials(n), lcm_upto(n + 1), _flat_walk(n + 1, nodes, ks)
             binomials, lcm_n, flats = fences[n] if last[n] > i else fences.pop(n)
             if k not in flats:  # a route read before: its stages are taken
-                values = [stage.value for stage in telescope(k, n).stages]
+                stages = [s.value.as_integer_ratio() for s in telescope(k, n).stages]
             else:
                 front, scale = lefts[k]
-                values = [Fraction(sum(front[:n + 1]), scale)]
+                stages = [(sum(front[:n + 1]), scale)]
                 for j in range(k.depth - 1, 0, -1):
                     right = k[j:]
                     if (right, n) in readers:  # its first read
@@ -305,8 +309,8 @@ def telescope_sweep(tasks):
                             ((left, right, n) for left in stage_lefts),
                             _connected_sums(right, n, binomials,
                                             [lefts[left] for left in stage_lefts])))
-                    values.append(middles.pop((k[:j], right, n)))
-                values.append(Fraction(flats.pop(k), lcm_n ** k.weight))
+                    stages.append(middles.pop((k[:j], right, n)))
+                stages.append((flats.pop(k), lcm_n ** k.weight))
             del binomials, flats  # past the fence's last task, its tables go
-            yield telescope_report(named[k][1], n, values, started)
+            yield telescope_report(named[k][1], n, stages, started)
         del lefts  # before the next run's

@@ -13,7 +13,7 @@ of the range, and the pinned thresholds live in a committed fixtures file
 (see `load_thresholds`).  Thresholds are measured, never guessed.
 
 Strict residues mod p^n come from walks of a trie of index prefixes
-(`_walk`, on `chainsum.trie_walk`), 0 for a chain deeper than p - 1.  A
+(`_walk`, on `mzv_real._prefix_walk`), 0 for a chain deeper than p - 1.  A
 check reads them through its `zeta` keyword, zeta(m, p, n) =
 zeta_trunc(m, p) mod p^n: by default from a walk of each index's branch,
 and in `residue_sweep` from one walk per prime mod p^N (`residue_lookups`).
@@ -34,8 +34,6 @@ from .chainsum import (
     flat_chain,
     flat_support_chain,
     hoffman_weak_chain,
-    trie_walk,
-    zeta_chain,
 )
 from .index_algebra import (
     Index,
@@ -51,6 +49,7 @@ from .index_algebra import (
     squeeze_lattice,
     trie_order,
 )
+from .mzv_real import _prefix_walk
 from .reports import make_report, ratio_report
 
 _MR_BASES = (2, 7, 61)
@@ -110,17 +109,11 @@ def _checked(k, p, n):
 
 
 def _walk(p, n, nodes):
-    """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`.
-
-    `nodes` are tuples closed under taking prefixes and sorted, the
-    pre-order of their trie by prefix (see `trie_order`), so each one is
-    a `trie_walk` step at depth len(m): the position of zeta_chain((e,)),
-    e its last part.
-    """
+    """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`, tuples
+    closed under taking prefixes and sorted (`_prefix_walk`)."""
     mod = p ** n
-    steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in nodes}}
-    layers = trie_walk(p, ((len(m), steps[m[-1]]) for m in nodes), mod)
-    return {m: sum(layer) % mod for m, layer in zip(nodes, layers)}
+    return {m: sum(layer) % mod
+            for m, layer in zip(nodes, _prefix_walk(p, nodes, mod))}
 
 
 @lru_cache(maxsize=1 << 14)
@@ -278,17 +271,17 @@ def seki_lifting_check(k, p, n=1, *, zeta=_zeta_residue):
 
 
 def residue_lookups(weight, top):
-    """lookup(p, n): the `zeta` of the residue checks of weight <= `weight`
-    at p and n <= top: one walk of p's trie mod p^top up to weight
-    weight + top - 1 (`_walk`), read mod p^n; every denominator is below p."""
+    """The `zeta` of the residue checks of weight <= `weight` at n <= top:
+    zeta(m, p, n) reads one walk of p's trie mod p^top up to weight
+    weight + top - 1 (`_walk`), made at p's first read, mod p^n; every
+    denominator is below p."""
     walks = {}
 
-    def lookup(p, n):
+    def zeta(m, p, n):
         if p not in walks:
             walks[p] = _walk(p, top, trie_order(weight + top - 1))
-        table, mod = walks[p], p ** n
-        return lambda m, p, n: table[m] % mod
-    return lookup
+        return walks[p][m] % p ** n
+    return zeta
 
 
 def residue_sweep(tasks):
@@ -296,12 +289,11 @@ def residue_sweep(tasks):
     in order, read through `residue_lookups` at the tasks' largest weight
     and exponent; a task without a prime is called as it is."""
     tasks = list(tasks)
-    lookup = residue_lookups(
+    zeta = residue_lookups(
         max((as_index(kw["k"]).weight for _, kw in tasks), default=0),
         max((kw.get("n", 1) for _, kw in tasks if "p" in kw), default=1))
     for check, kwargs in tasks:
-        yield (check(**kwargs, zeta=lookup(kwargs["p"], kwargs.get("n", 1)))
-               if "p" in kwargs else check(**kwargs))
+        yield check(**kwargs, zeta=zeta) if "p" in kwargs else check(**kwargs)
 
 
 def min_passing_prime(check, k, n, lo=3, hi=199, *, zeta=_zeta_residue):

@@ -122,6 +122,16 @@ def _flat_walk(upper, nodes, keep=None):
             if keep is None or k in keep}
 
 
+def _prefix_walk(upper, nodes, modulus=None):
+    """The `trie_walk` layer of zeta_chain(m) at fence N = upper, mod
+    `modulus` if given, for each m in `nodes`: tuples closed under taking
+    prefixes and sorted (see `trie_order`), N at least 2.  The strict chain
+    of m is its parent's plus the position of zeta_chain((e,)), e its last
+    part, at depth len(m)."""
+    steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in nodes}}
+    return trie_walk(upper, ((len(m), steps[m[-1]]) for m in nodes), modulus)
+
+
 def _branch(k):
     """k and its ancestors in the weight trie, in trie order."""
     return [k[:i] + (j,) for i, part in enumerate(k) for j in range(1, part + 1)]

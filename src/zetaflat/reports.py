@@ -118,26 +118,28 @@ class VerificationReport:
         return f"{verdict} {self.check_id} {args}{tail}"
 
 
-def make_report(check_id, inputs, lhs_value, rhs_value, started,
-                notes=None) -> VerificationReport:
+def make_report(check_id, inputs, lhs_value, rhs_value,
+                started) -> VerificationReport:
     """Render both sides and compare them by string identity."""
     lhs = render_value(lhs_value)
     rhs = render_value(rhs_value)
     return VerificationReport(
         check_id, {k: str(v) for k, v in inputs.items()}, lhs, rhs,
-        lhs == rhs, time.perf_counter() - started, notes)
+        lhs == rhs, time.perf_counter() - started)
 
 
-def ratio_report(check_id, inputs, lhs, rhs, started) -> VerificationReport:
+def ratio_report(check_id, inputs, lhs, rhs, started,
+                 notes=None) -> VerificationReport:
     """`make_report` on rationals given as (num, den) sides, den > 0, in
     any terms: compared by cross-multiplication, and an equal pair
-    rendered once, from the side with the smaller denominator."""
-    passed = lhs[0] * rhs[1] == rhs[0] * lhs[1]
+    rendered once, from the side with the smaller denominator.  A string
+    rhs says why the check failed and is kept as it is."""
+    passed = not isinstance(rhs, str) and lhs[0] * rhs[1] == rhs[0] * lhs[1]
     lhs = _lowest(*(rhs if passed and rhs[1] < lhs[1] else lhs))
-    rhs = lhs if passed else _lowest(*rhs)
+    rhs = lhs if passed else rhs if isinstance(rhs, str) else _lowest(*rhs)
     return VerificationReport(
         check_id, {k: str(v) for k, v in inputs.items()}, lhs, rhs,
-        passed, time.perf_counter() - started)
+        passed, time.perf_counter() - started, notes)
 
 
 def _lowest(num, den) -> str:

@@ -295,11 +295,7 @@ def test_min_passing_prime_through_one_table_per_pair():
     index up to weight 3 + 2, read mod p^n, as tools/pin_thresholds.py
     reads them, the thresholds of weight <= 3 are the pinned ones, and so
     are those of weight <= 2 read through the default per-branch walks."""
-    lookup = finite_padic.residue_lookups(3, 3)
-
-    def zeta(m, p, n):
-        return lookup(p, n)(m, p, n)
-
+    zeta = finite_padic.residue_lookups(3, 3)
     for check, name in ((padic_duality_check, PADIC_FIXTURES),
                         (seki_lifting_check, SEKI_FIXTURES)):
         pinned = load_thresholds(name)
@@ -450,10 +446,9 @@ def test_sweep_lookups_are_the_residues_of_single_checks(cold_tables):
     for m, p, n, value in reads:
         assert value == finite_padic._zeta_residue(m, p, n), (m, p, n)
         assert 0 <= value < p ** n
-    lookup = finite_padic.residue_lookups(4, 3)
+    zeta = finite_padic.residue_lookups(4, 3)
     for p in (2, 3, 7):
         for n in (1, 2, 3):
-            zeta = lookup(p, n)
             for m in trie_order(4 + n - 1):
                 value = zeta(m, p, n)
                 assert value == finite_padic._zeta_residue(m, p, n), (m, p, n)

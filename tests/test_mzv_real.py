@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaflat import _kernels, mzv_real
-from zetaflat._kernels import exact_quotient, harmonic_tree, scaled_quotient
+from zetaflat._kernels import harmonic_tree, scaled_quotient
 from zetaflat.chainsum import (
     ChainSpec,
     Position,
@@ -268,37 +268,6 @@ def test_duality_convergence_unsorted_fences_with_duplicate():
                            - eval_dp(zeta_chain(dual(k)), r.upper))
                 assert r.diff == want and r.decimal == decimal_str(want), \
                     (k, r)
-
-
-@pytest.mark.parametrize("bits", [1, 2, 3, 4, 31, 32, 33, 64, 65, 130, 1000])
-def test_exact_quotient_every_quotient_length(bits):
-    """exact_quotient(q * d, d) == q for divisors of `bits` bits and
-    quotients 0, 1 and every length up to the divisor's, each a power of
-    two, all ones or random, on both sides of the full-division branch."""
-    rng = random.Random(bits)
-    top = 1 << bits - 1
-    branches = set()
-    for d in (top, 2 * top - 1, rng.getrandbits(bits) | top):
-        for length in range(bits + 1):
-            low = 1 << length >> 1
-            for q in (low, (1 << length) - 1, rng.getrandbits(length) | low):
-                num = q * d
-                assert exact_quotient(num, d) == q, (d, q)
-                k = 2 * d.bit_length() - num.bit_length() - 2
-                branches.add(k > 0 and num > 0)
-    assert branches == ({False} if bits <= 2 else {False, True})
-
-
-def test_exact_quotient_long_divisors():
-    """Divisors of 20k and 200k bits, as long as the product tree's row
-    denominators, with quotients from 0 bits to the divisor's length."""
-    rng = random.Random(1)
-    for bits in (20_000, 200_000):
-        d = rng.getrandbits(bits) | 1 << bits - 1
-        for length in (0, 1, 2, 3, 64, 1000, bits // 2, bits - 3, bits - 2,
-                       bits - 1, bits):
-            q = rng.getrandbits(length) | 1 << length >> 1
-            assert exact_quotient(q * d, d) == q, (bits, length)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 31, 32, 33, 64, 65, 130, 1000])

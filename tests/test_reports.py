@@ -93,10 +93,15 @@ def test_template_line_of_any_text(check_id, lhs, rhs, inputs, notes, elapsed):
 
 
 def test_make_report_renders_inputs_and_keeps_notes():
+    """Both report builders render their inputs as strings; `ratio_report`
+    keeps the notes it is given, after the rest of its JSON line."""
+    assert make_report("log2", {"upper": 3}, 1, 2, 0.0).inputs == {"upper": "3"}
     notes = {"stages": 4}
-    r = make_report("telescope", {"k": "2,1", "N": 7}, 1, 1, 0.0, notes=notes)
+    r = ratio_report("telescope", {"k": "2,1", "N": 7}, (1, 1), (2, 2), 0.0,
+                     notes=notes)
     assert r.inputs == {"k": "2,1", "N": "7"} and r.notes is notes
-    assert make_report("log2", {"upper": 3}, 1, 2, 0.0).notes == {}
+    assert r.json_line().endswith('"stages": 4}')
+    assert ratio_report("log2", {"upper": 3}, (1, 1), (1, 2), 0.0).notes == {}
 
 
 numerators = st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40))

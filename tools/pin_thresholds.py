@@ -34,14 +34,6 @@ from zetaflat.finite_padic import (
 from zetaflat.index_algebra import format_index, indices_up_to_weight
 
 
-def residue_lookup(max_weight):
-    """A `zeta` lookup for checks of weight up to max_weight at n <= 3,
-    through `residue_lookups` as `residue_sweep` reads it: one walk per
-    prime mod p^3 of every index up to weight max_weight + 2, read mod p^n."""
-    lookup = residue_lookups(max_weight, 3)
-    return lambda m, p, n: lookup(p, n)(m, p, n)
-
-
 def sweep(check, label, max_weight, lo, hi, zeta):
     table = {}
     missing = []
@@ -68,7 +60,9 @@ def main():
     args = ap.parse_args()
 
     print(f"backend: {active_backend()}")
-    zeta = residue_lookup(args.max_weight)
+    # One walk per prime mod p^3 of every index up to weight max_weight + 2,
+    # read mod p^n, as `residue_sweep` reads it.
+    zeta = residue_lookups(args.max_weight, 3)
     padic, miss1 = sweep(padic_duality_check, "padic", args.max_weight,
                          args.lo, args.hi, zeta)
     seki, miss2 = sweep(seki_lifting_check, "seki", args.max_weight,
