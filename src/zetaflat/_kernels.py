@@ -11,7 +11,7 @@ dens[i][n], for a per-position scale lam_i; the residue one multiplies by
 inverse denominators.  Both programs start from a given layer and return
 their final one, the value at each endpoint, so a chain can be extended
 one position at a time, as `chainsum.trie_walk` extends it over a trie of
-indices.
+chains.
 
 The fourth, `harmonic_tree`, takes the exponents of a strict harmonic
 chain (what `zeta_chain` compiles to) and sorted fences.  At each fence

@@ -13,8 +13,10 @@ layer holds the value at each endpoint v, the sum over the tuples whose
 last variable is v; `endpoint_values` returns that layer, and connected
 sums and the binomial identity are built from it.  `eval_dp_mod` runs
 the dynamic program in Z/m.  All three run on the pure-Python kernels in
-`zetaflat._kernels`, on cached rows per (weight, fence): denominators (the
+`zetaflat._kernels`, on rows per (weight, fence): cached denominators (the
 exact program plans multipliers from them) and their inverses mod m.
+`trie_walk` runs it over the trie of several chains (`chain_trie`), once
+per fence for a prefix they share.
 
 Internally values are integers scaled by lcm(1..N)^degree, so no rational
 reduction happens until the final Fraction is formed.
@@ -176,12 +178,10 @@ def _block_chain(k, start_weight, strict_only_at_starts):
     if not k:
         raise ValueError("need a nonempty index")
     starts = boundary_set_tilde(k)
-    positions = []
-    for i in range(1, k.weight + 1):
-        w = start_weight if i in starts else HARMONIC
-        strict = (i in starts) if strict_only_at_starts else True
-        positions.append(Position(w, strict))
-    return ChainSpec(tuple(positions))
+    opening = Position(start_weight, True)
+    inside = Position(HARMONIC, not strict_only_at_starts)
+    return ChainSpec(tuple(opening if i in starts else inside
+                           for i in range(1, k.weight + 1)))
 
 
 def reflect_chain(spec: ChainSpec) -> ChainSpec:
@@ -269,7 +269,7 @@ def _plan(spec, upper, modulus=None, multipliers=False):
     `multipliers` a lazy iterator of what `dp_sum` multiplies by:
     lam // den[n] for n on band i alone, lam = lcm(1..upper)^degree of
     position i, so no zero off the band is divided.  With a modulus, the
-    inverse of the denominator mod `modulus` (`_residue_row`, cached).
+    inverse of the denominator mod `modulus` (`_residue_row`).
     Returns None when the tuple set is empty.  Raises ValueError if some
     reachable point has a zero denominator (a weight undefined there), and
     with a modulus NonUnitError at the first band point, in (position, n)
@@ -350,14 +350,13 @@ def _inverse_table(upper, modulus):
     return array("q", inv) if modulus < 1 << 63 else inv
 
 
-@lru_cache(maxsize=8)
 def _residue_row(refl, harm, upper, modulus):
     """1/((upper - n)^refl * n^harm) mod modulus for 0 <= n <= upper.
 
     An entry is 0 exactly where the denominator is not a unit: a factor
-    with a positive exponent has no inverse there.  `verify` sweeps never
-    hit this cache (0 hits in 315 reads on `seki --max-weight 5`); checks
-    called alone and `eval_dp_mod` on repeated weights do.
+    with a positive exponent has no inverse there.  Built from the cached
+    `_inverse_table` at each call: a trie walk plans each distinct
+    position once per (fence, modulus).
     """
     inv = _inverse_table(upper, modulus)
     row = inv if harm == 1 else [pow(x, harm, modulus) for x in inv]
@@ -396,33 +395,43 @@ def eval_dp(spec: ChainSpec, upper) -> Fraction:
     return Fraction(sum(front), scale)
 
 
-def trie_walk(upper, steps, modulus=None):
-    """The final layer of the dynamic program at each node of a trie.
+def chain_trie(chains):
+    """Every prefix of the positions of the compiled `chains`, sorted.
 
-    `steps` are the nodes in pre-order (see `trie_order`), each as
-    (depth, position): the node's chain is its parent's (the last node
-    before it at depth - 1, or the empty chain at depth 1) plus that
-    position, on the band [1, N - 1] for N = upper, entering strictly
-    or weakly as the position says.  Each distinct position is planned
-    once, as a one-position chain strict against both fences, and a
-    node's layer is its parent's extended by it through `dp_sum` (scaled
-    by lcm(1..N)^degree) or, with a modulus, through `dp_sum_mod`.
-    Yields each node's layer, which the walk reads again and so must not
-    be changed; the fence must be at least 2.
+    A prefix sorts before its extensions, and the extensions of a node
+    sort directly after it, so this is a depth-first pre-order of the
+    chains' trie: a node's parent is the last node before it one
+    position shorter.
+    """
+    return sorted({spec.positions[:i] for spec in chains
+                   for i in range(1, spec.length + 1)})
+
+
+def trie_walk(upper, nodes, modulus=None):
+    """The final layer of the dynamic program at each node of a chain trie.
+
+    `nodes` are tuples of positions in pre-order (`chain_trie`), each the
+    chain of its positions strict against the fence N = upper.  Each
+    distinct position is planned once, on the band [1, N - 1], or [0, N -
+    1] where it enters weakly without a factor 1/n, and a node's layer is
+    its parent's extended by it through `dp_sum` (scaled by
+    lcm(1..N)^degree) or, with a modulus, through `dp_sum_mod`; an empty
+    band gives a zero layer.  Yields each node's layer, which the walk
+    reads again and so must not be changed.
     """
     kernel = dp_sum if modulus is None else dp_sum_mod
     extra = () if modulus is None else (modulus,)
-    plans = {}
+    plans, zeros = {}, [0] * (upper + 1)
     layers = [[1] + [0] * upper]
-    for depth, pos in steps:
-        plan = plans.get(pos)
-        if plan is None:
-            rows, _, lbs, ubs = _plan(ChainSpec((Position(pos.weight, True),)),
-                                      upper, modulus, multipliers=True)
-            rows = [tuple(rows[0])]  # read at every node (residue: as is)
-            plan = plans[pos] = rows, [pos.strict_before], lbs, ubs, *extra
-        del layers[depth:]
-        layers.append(kernel(*plan, layers[-1]))
+    for node in nodes:
+        plan = plans.get(pos := node[-1])
+        if plan is None:  # () once planned empty
+            band = Position(pos.weight, pos.strict_before or pos.weight.harm > 0)
+            plan = _plan(ChainSpec((band,)), upper, modulus, multipliers=True)
+            plan = plans[pos] = plan and ([tuple(plan[0][0])], [pos.strict_before],
+                                          *plan[2:], *extra) or ()
+        del layers[len(node):]
+        layers.append(kernel(*plan, layers[-1]) if plan else zeros)
         yield layers[-1]
 
 

@@ -19,8 +19,8 @@ lcm_v binom(N, v).
 `telescope` and `connected_sum` evaluate one stage at a time, as
 Fractions, and stay the independent path; `verify telescope` runs
 `telescope_sweep`, which gives the same stages, integers over their
-scales, from the left layers, right sides and `_flat_walk`s its routes
-share.
+scales, from trie walks its routes share: of the left chains, the
+reflected right chains and the block forms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb, lcm
 from operator import mul
 
@@ -41,10 +41,11 @@ from .chainsum import (
     lcm_upto,
     reflect_chain,
     tilde_chain,
+    trie_walk,
     zeta_chain,
 )
 from .index_algebra import Index, as_index, format_index
-from .mzv_real import _flat_walk, _prefix_walk, budget_runs
+from .mzv_real import _trie, budget_runs
 from .reports import fraction_str, make_report, ratio_report
 
 
@@ -149,9 +150,9 @@ def connected_sum(upper, left, right) -> Fraction:
         return eval_dp(zeta_chain(left), upper + 1)
     if not left:
         return eval_dp(flat_chain(right), upper + 1)
+    right_values = endpoint_values(reflect_chain(tilde_chain(right)), upper)
     left_values = endpoint_values(zeta_chain(left), upper + 1)
-    return Fraction(*_connected_sums(right, upper, _binomials(upper),
-                                     [left_values])[0])
+    return Fraction(*_middle_stages(right_values, _binomials(upper), [left_values])[0])
 
 
 def binomial_sums(x) -> list:
@@ -179,16 +180,15 @@ def _binomials(upper):
     return [den // b for b in row], den
 
 
-def _connected_sums(right, upper, binomials, lefts):
+def _middle_stages(right, binomials, lefts):
     """(num, den) of Z_N(left | right) for the endpoint values (a, sa) of
     zeta_chain(left) at fence N + 1 or above, for each left side in `lefts`.
 
-    With (b, sb) the endpoint values of the reflected tilde_chain(right)
-    at N, and (cofactors, den) = `binomials`, the sum is
+    With (b, sb) = `right`, the endpoint values of the reflected tilde
+    chain at N, and (cofactors, den) = `binomials`, the sum is
     sum_v a[v] cofactor[v] sum_{u >= v} binom(u, v) b[N - u] / (sa sb den).
     """
-    b, sb = endpoint_values(reflect_chain(tilde_chain(right)), upper)
-    cofactors, den = binomials
+    (b, sb), (cofactors, den) = right, binomials
     w = list(map(mul, cofactors, binomial_sums(b[::-1])))
     return [(sum(map(mul, a, w)), sa * sb * den) for a, sa in lefts]
 
@@ -272,45 +272,53 @@ def telescope_report(name, upper, stages, started):
 
 def telescope_sweep(tasks):
     """`telescope_report` of each (check, kwargs) task, in order, swept in
-    `budget_runs`.  In a run, one `_prefix_walk` at the top fence + 1
-    gives every left layer and stage 0 (endpoint values of zeta_chain(left)
-    at v <= N do not depend on the fence); the first read of a (suffix,
-    fence) evaluates its right side, on the fence's binomial cofactors, for
-    every route ending in it (`_connected_sums`); stage r comes from one
-    `_flat_walk` per fence + 1 that keeps the run's indices.  Each stage is
-    an integer pair, popped as read, and a fence's tables go after its last
-    task in the run.  A route read again, its stages taken, runs `telescope`."""
-    for run, ks, nodes, last in budget_runs(tasks, "telescope"):
-        named = {k: (as_index(k), format_index(k)) for k in ks}
-        routes = [(named[kwargs["k"]][0], kwargs["upper"]) for _, kwargs in run]
-        top = max(last) + 1
-        prefixes = sorted({k[:i] for k in ks for i in range(1, len(k) + 1)})
-        lefts = {m: (layer, lcm_upto(top) ** sum(m))
-                 for m, layer in zip(prefixes, _prefix_walk(top, prefixes))}
-        readers, fences, middles = {}, {}, {}
-        for k, n in dict.fromkeys(routes):
-            for j in range(1, k.depth):
-                readers.setdefault((k[j:], n), []).append(k[:j])
-        for i, (k, n) in enumerate(routes):
-            started = time.perf_counter()
-            if n not in fences:
-                fences[n] = _binomials(n), lcm_upto(n + 1), _flat_walk(n + 1, nodes, ks)
-            binomials, lcm_n, flats = fences[n] if last[n] > i else fences.pop(n)
-            if k not in flats:  # a route read before: its stages are taken
-                stages = [s.value.as_integer_ratio() for s in telescope(k, n).stages]
-            else:
-                front, scale = lefts[k]
-                stages = [(sum(front[:n + 1]), scale)]
-                for j in range(k.depth - 1, 0, -1):
-                    right = k[j:]
-                    if (right, n) in readers:  # its first read
-                        stage_lefts = readers.pop((right, n))
-                        middles.update(zip(
-                            ((left, right, n) for left in stage_lefts),
-                            _connected_sums(right, n, binomials,
-                                            [lefts[left] for left in stage_lefts])))
-                    stages.append(middles.pop((k[:j], right, n)))
-                stages.append((flats.pop(k), lcm_n ** k.weight))
-            del binomials, flats  # past the fence's last task, its tables go
-            yield telescope_report(named[k][1], n, stages, started)
-        del lefts  # before the next run's
+    `budget_runs`, each run with tables of its own (`_telescope_run`)."""
+    for run, forms, last in budget_runs(tasks, "telescope"):
+        yield from _telescope_run(run, forms, last)
+
+
+def _telescope_run(run, forms, last):
+    """The reports of a run of `telescope_sweep`.  One walk of the strict
+    chains' trie at the top fence + 1 gives every left layer and stage 0
+    (endpoint values of zeta_chain(left) at v <= N do not depend on the
+    fence).  A fence's first read walks the trie of the block forms at
+    N + 1 for stage r and the trie of the right chains at N; each right
+    layer, on the fence's binomial cofactors, at once gives the middle
+    stage of every route of the run that ends in its suffix
+    (`_middle_stages`), and is dropped.  Each stage is an integer pair; a
+    fence keeps each route's middle stages and last numerator until its
+    last task."""
+    top = max(last) + 1
+    lefts = {m: zeta_chain(m) for m in dict.fromkeys(
+        k[:i] for k in forms for i in range(1, len(k) + 1))}
+    rights = {s: reflect_chain(tilde_chain(s)) for s in dict.fromkeys(
+        k[j:] for k in forms for j in range(1, len(k)))}
+    (nodes, _, at), (blocks, block_mask, place), (right, right_mask, order) = map(
+        _trie, (lefts, forms, rights))
+    lefts = {m: (layer, lcm_upto(top) ** sum(m)) for m, layer in zip(
+        sorted(lefts, key=at.get), trie_walk(top, nodes))}  # one node per left
+    routes = {s: ([], []) for s in sorted(rights, key=order.get)}
+    for k in forms:  # the (place, stage) and the left side of each middle
+        for j in range(1, len(k)):
+            routes[k[j:]][0].append((place[k], len(k) - j - 1))
+            routes[k[j:]][1].append(lefts[k[:j]])
+    ks, tables = sorted(forms, key=place.get), {}
+    for i, (_, kwargs) in enumerate(run):
+        started = time.perf_counter()
+        k, n = kwargs["k"], kwargs["upper"]
+        if n not in tables:
+            binomials = _binomials(n)
+            table = [[*[None] * (len(m) - 1), sum(layer)] for m, layer in zip(
+                ks, compress(trie_walk(n + 1, blocks), block_mask))]
+            formed = [_middle_stages((layer, lcm_upto(n) ** sum(s)),
+                                     binomials, sides)
+                      for (s, (_, sides)), layer in zip(routes.items(), compress(
+                          trie_walk(n, right), right_mask))]
+            for (targets, _), values in zip(routes.values(), formed):
+                for (p, j), value in zip(targets, values):
+                    table[p][j] = value
+            tables[n] = table, lcm_upto(n + 1)
+        table, lam = tables[n] if last[n] > i else tables.pop(n)
+        (front, scale), (*middles, flat) = lefts[k], table[place[k]]
+        stages = [(sum(front[:n + 1]), scale), *middles, (flat, lam ** sum(k))]
+        yield telescope_report(format_index(k), n, stages, started)

@@ -12,11 +12,12 @@ records the smallest prime P0 from which the check passes through the top
 of the range, and the pinned thresholds live in a committed fixtures file
 (see `load_thresholds`).  Thresholds are measured, never guessed.
 
-Strict residues mod p^n come from walks of a trie of index prefixes
-(`_walk`, on `mzv_real._prefix_walk`), 0 for a chain deeper than p - 1.  A
+Strict residues mod p^n come from walks of the trie of strict chains
+(`_walk`, on `chainsum.trie_walk`), 0 for a chain deeper than p - 1.  A
 check reads them through its `zeta` keyword, zeta(m, p, n) =
-zeta_trunc(m, p) mod p^n: by default from a walk of each index's branch,
-and in `residue_sweep` from one walk per prime mod p^N (`residue_lookups`).
+zeta_trunc(m, p) mod p^n: by default from a walk of each index's
+prefixes, and in `residue_sweep` from one walk per prime mod p^N of one
+trie built per sweep (`residue_lookups`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from pathlib import Path
 
 from .chainsum import (
     Residue,
+    chain_trie,
     endpoint_values,
     eval_dp_mod,
     flat_chain,
     flat_support_chain,
     hoffman_weak_chain,
+    trie_walk,
+    zeta_chain,
 )
 from .index_algebra import (
     Index,
@@ -41,15 +45,15 @@ from .index_algebra import (
     coarsenings,
     format_index,
     hoffman_dual,
+    indices_up_to_weight,
     oplus,
     oslash,
     parse_index,
     refinements,
     shift_vectors,
     squeeze_lattice,
-    trie_order,
 )
-from .mzv_real import _prefix_walk
+from .mzv_real import _trie
 from .reports import make_report, ratio_report
 
 _MR_BASES = (2, 7, 61)
@@ -109,17 +113,16 @@ def _checked(k, p, n):
 
 
 def _walk(p, n, nodes):
-    """{m: zeta_trunc(m, p) mod p^n} for every index m in `nodes`, tuples
-    closed under taking prefixes and sorted (`_prefix_walk`)."""
+    """zeta_trunc(m, p) mod p^n for the strict chain m of each node of a
+    `chain_trie`, in its order."""
     mod = p ** n
-    return {m: sum(layer) % mod
-            for m, layer in zip(nodes, _prefix_walk(p, nodes, mod))}
+    return [sum(layer) % mod for layer in trie_walk(p, nodes, mod)]
 
 
 @lru_cache(maxsize=1 << 14)
 def _zeta_residue(k, p, n):
-    """zeta_trunc(k, p) mod p^n as an int, from a walk of k's own branch."""
-    return _walk(p, n, [k[:d] for d in range(1, len(k) + 1)])[k]
+    """zeta_trunc(k, p) mod p^n as an int, from a walk of k's prefixes."""
+    return _walk(p, n, chain_trie([zeta_chain(k)]))[-1]
 
 
 def _star(k, p, n, *, zeta=_zeta_residue):
@@ -272,15 +275,17 @@ def seki_lifting_check(k, p, n=1, *, zeta=_zeta_residue):
 
 def residue_lookups(weight, top):
     """The `zeta` of the residue checks of weight <= `weight` at n <= top:
-    zeta(m, p, n) reads one walk of p's trie mod p^top up to weight
-    weight + top - 1 (`_walk`), made at p's first read, mod p^n; every
-    denominator is below p."""
+    zeta(m, p, n) reads one walk of p's trie mod p^top of the strict
+    chains up to weight weight + top - 1 (`_walk`), made at p's first
+    read, mod p^n; every denominator is below p."""
+    nodes, _, places = _trie({tuple(m): zeta_chain(m) for m in
+                              indices_up_to_weight(weight + top - 1)})
     walks = {}
 
     def zeta(m, p, n):
         if p not in walks:
-            walks[p] = _walk(p, top, trie_order(weight + top - 1))
-        return walks[p][m] % p ** n
+            walks[p] = _walk(p, top, nodes)
+        return walks[p][places[m]] % p ** n
     return zeta
 
 

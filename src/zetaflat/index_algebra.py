@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 
 
 class Index(tuple):
@@ -194,28 +193,6 @@ def indices_up_to_weight(w) -> list:
     for v in range(1, w + 1):
         out.extend(compositions_of(v))
     return out
-
-
-@lru_cache(maxsize=4)
-def trie_order(w) -> tuple:
-    """All nonempty indices of weight <= w, as plain tuples in lex order.
-
-    `chainsum.trie_walk` walks two tries over these indices in this
-    order, one layer of a dynamic program per node, kept on a stack by
-    depth:
-    - by prefix (strict sums, exact or mod p^n): a node's parent drops
-      its last part, and its depth is its length;
-    - by weight (reflected block forms): a node's parent lowers its last
-      part by one, or drops it when it is 1, and its depth is its weight.
-    Under either rule a parent sorts before its child, and the
-    descendants of a node a with r parts are the indices that sort
-    directly after it: those extending a, for the prefix rule; those
-    agreeing with a on its first r - 1 parts and at least as large in
-    part r, for the weight rule.  Each subtree is a run that starts at
-    its root, so the order is a depth-first pre-order of both tries, and
-    a node's parent is the last node before it one level up.
-    """
-    return tuple(sorted(map(tuple, indices_up_to_weight(w))))
 
 
 def refines(coarse, fine) -> bool:

@@ -7,9 +7,11 @@ The central pair: the strict truncated sum
 and its reflected block form zeta_flat(k, N), a sum with one variable per
 unit of weight, weak inequalities inside blocks, and a factor 1/(N - n) at
 each block opening.  The two are equal for every admissible k and every N;
-this module also carries the fully strict Riemann-sum variant (which is
-NOT equal), the weak-inequality star sum, the exact duality discrepancy
-decomposition, and the convergence table for the duality defect.
+`main_sweep` checks that over a grid, reading the block forms of a run
+from one walk of their chain trie per fence.  This module also carries
+the fully strict Riemann-sum variant (which is NOT equal), the
+weak-inequality star sum, the exact duality discrepancy decomposition,
+and the convergence table for the duality defect.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, groupby
 
 from ._kernels import harmonic_tree
 from .chainsum import (
+    chain_trie,
     endpoint_values,
     equality_strata,
     eval_dp,
@@ -103,38 +106,15 @@ def zeta_star_trunc(k, upper, method="dp") -> Fraction:
     return _eval(zeta_star_chain(k), upper, method)
 
 
-# The two steps of the weight trie, a block opening (strict, 1/(N - n))
-# and a continuation (weak, 1/n): the positions of flat_chain((2,)).
-_OPENING, _CONTINUATION = flat_chain((2,)).positions
-
-
-def _flat_walk(upper, nodes, keep=None):
-    """{k: zeta_flat(k, N) * lcm(1..N)^weight(k)} for k in `nodes`, N = upper,
-    or only for those k also in `keep`.
-
-    The block form of k is its parent's in the weight trie (see
-    `trie_order`) plus a block opening, strict with factor 1/(N - n), if k
-    ends in 1, else a weak continuation with factor 1/n: a `trie_walk` step
-    at depth weight(k).  `nodes` must be closed under parents and in trie
-    order, and the fence at least 2."""
-    steps = ((sum(k), _OPENING if k[-1] == 1 else _CONTINUATION) for k in nodes)
-    return {k: sum(layer) for k, layer in zip(nodes, trie_walk(upper, steps))
-            if keep is None or k in keep}
-
-
-def _prefix_walk(upper, nodes, modulus=None):
-    """The `trie_walk` layer of zeta_chain(m) at fence N = upper, mod
-    `modulus` if given, for each m in `nodes`: tuples closed under taking
-    prefixes and sorted (see `trie_order`), N at least 2.  The strict chain
-    of m is its parent's plus the position of zeta_chain((e,)), e its last
-    part, at depth len(m)."""
-    steps = {e: zeta_chain((e,)).positions[0] for e in {m[-1] for m in nodes}}
-    return trie_walk(upper, ((len(m), steps[m[-1]]) for m in nodes), modulus)
-
-
-def _branch(k):
-    """k and its ancestors in the weight trie, in trie order."""
-    return [k[:i] + (j,) for i, part in enumerate(k) for j in range(1, part + 1)]
+def _trie(chains):
+    """(nodes, mask, places) of a dict of chains: `compress(trie_walk(N,
+    nodes), mask)` yields the layers of the chains of their `chain_trie`
+    at N, in trie order, the one of key k at places[k]."""
+    nodes = chain_trie(chains.values())
+    ends = {spec.positions for spec in chains.values()}
+    mask = [node in ends for node in nodes]
+    place = {node: i for i, node in enumerate(compress(nodes, mask))}
+    return nodes, mask, {key: place[spec.positions] for key, spec in chains.items()}
 
 
 def runs(tasks, fits):
@@ -152,9 +132,9 @@ def runs(tasks, fits):
 
 
 # Bits a sweep's tables hold over a run of top weight W and top fence N
-# whose branches cover `nodes` weight-trie nodes (2^W - 1 on a full grid):
-# a table per fence in main, up to W times as much in telescope's left
-# layers and waiting stages.  So weight 8 is one run up to N = 256 in main
+# whose block forms' trie has `nodes` nodes (2^W - 1 on a full grid): a
+# table per fence in main, up to W times as much in telescope's left
+# layers and stages.  So weight 8 is one run up to N = 256 in main
 # (10 MiB of values) and N = 89 in telescope; an index past it runs alone.
 TABLE_BITS = {"main": lambda nodes, w, n: nodes * w * n ** 2,
               "telescope": lambda nodes, w, n: nodes * w ** 2 * (n + 1) ** 2}
@@ -162,43 +142,35 @@ FLAT_TABLE_BITS = 1 << 27
 
 
 def budget_runs(tasks, sweep):
-    """`runs` of `tasks` within FLAT_TABLE_BITS by the estimate of `sweep`, each
-    with {index: place}, its nodes in trie order and its fences' last tasks."""
-    covered, tops = set(), (0, 0)
+    """`runs` of `tasks` within FLAT_TABLE_BITS by the estimate of `sweep`,
+    each with {index: block form} of its indices, each compiled once, in
+    the order of their first tasks, and its fences' last tasks."""
+    covered, tops, forms = set(), (0, 0), {}
 
     def fits(run, group):
         nonlocal covered, tops
         k = tuple(group[0][1]["k"])
-        own = set(_branch(k)), (sum(k), max(kw["upper"] for _, kw in group))
+        if k not in forms:
+            forms[k] = flat_chain(k)
+        own = set(chain_trie([forms[k]])), (sum(k), max(kw["upper"] for _, kw in group))
         grown = covered | own[0], tuple(map(max, tops, own[1]))
         joins = TABLE_BITS[sweep](len(grown[0]), *grown[1]) <= FLAT_TABLE_BITS
         covered, tops = grown if joins else own
         return joins
 
     for run in runs(tasks, fits):
-        ks = {k: i for i, k in enumerate({tuple(kw["k"]): 0 for _, kw in run})}
-        yield run, ks, sorted({node for k in ks for node in _branch(k)}), {
+        yield run, {k: forms[k] for k in dict.fromkeys(
+            tuple(kwargs["k"]) for _, kwargs in run)}, {
             kwargs["upper"]: i for i, (_, kwargs) in enumerate(run)}
 
 
 def zeta_flat(k, upper, method="dp") -> Fraction:
     """Reflected block form of a nonempty index; equals zeta_trunc.
 
-    The dynamic-programming path walks k's branch of the weight trie at
-    the fence (`_flat_walk`), one step per unit of weight, which costs
-    what one dynamic program over flat_chain(k) costs.  `main_sweep`
-    shares one walk per fence among many indices.
+    One dynamic program over flat_chain(k); `main_sweep` shares one trie
+    walk per fence among many indices.
     """
-    if method != "dp":
-        return _eval(flat_chain(k), upper, method)
-    k = as_index(k)
-    if not k:
-        raise ValueError("need a nonempty index")
-    if 0 <= upper <= 1:
-        return Fraction(0)  # the first variable needs 1 <= n <= N - 1
-    k = tuple(k)
-    return Fraction(_flat_walk(upper, _branch(k))[k],
-                    lcm_upto(upper) ** sum(k))
+    return _eval(flat_chain(k), upper, method)
 
 
 def main_identity_check(k, upper, method="dp"):
@@ -211,35 +183,33 @@ def main_identity_check(k, upper, method="dp"):
 
 def main_sweep(tasks):
     """`main_identity_check` for each (check, kwargs) task, in order, swept
-    in `budget_runs`.  An index reads its strict sums from one
-    `scaled_column` to its run's top fence.  A fence's first read in a
-    run walks the run's branches; the fence keeps lcm(1..N) and a list of
-    the run's indices' values, each taken as read, until its last read.
-    Any other read (again, --method enum, fences 0 and 1) takes `zeta_flat`,
-    and the sides meet as integers over their scales (`ratio_report`)."""
-    for run, ks, nodes, last in budget_runs(tasks, "main"):
+    in `budget_runs`; a task of another method than "dp" is called alone.
+    An index reads its strict sums from one `scaled_column` to its run's
+    top fence.  A fence's first read in a run walks the trie of the run's
+    block forms; the fence keeps lcm(1..N) and a list of the run's
+    indices' values, read by place, until its last task.  The sides meet
+    as integers over their scales (`ratio_report`)."""
+    for run, forms, last in budget_runs(tasks, "main"):
         top, column_of, tables = max(last), None, {}
-        for i, (_, kwargs) in enumerate(run):
+        nodes, mask, places = _trie(forms)
+        for i, (check, kwargs) in enumerate(run):
+            if kwargs["method"] != "dp":
+                yield check(**kwargs)
+                continue
             started = time.perf_counter()
-            upper, method = kwargs["upper"], kwargs["method"]
+            upper = kwargs["upper"]
             if kwargs["k"] != column_of:
                 column_of = kwargs["k"]
                 k = as_index(column_of)
-                name, place, weight = format_index(k), ks[k], k.weight
-                fences = range(top + 1)
-                column, scales = (scaled_column(k, fences) if method == "dp" else
-                                  zip(*map(Fraction.as_integer_ratio,
-                                           zeta_trunc_column(k, fences, method))))
+                name, place, weight = format_index(k), places[k], k.weight
+                column, scales = scaled_column(k, range(top + 1))
             if upper not in tables:
-                dp = method == "dp" and upper > 1
-                values = _flat_walk(upper, nodes, ks) if dp else {}
-                tables[upper] = list(map(values.get, ks)), lcm_upto(upper)
+                tables[upper] = [sum(layer) for layer in compress(
+                    trie_walk(upper, nodes), mask)], lcm_upto(upper)
             values, lam = tables[upper] if last[upper] > i else tables.pop(upper)
-            value, values[place] = values[place], None
-            flat = (zeta_flat(k, upper, method).as_integer_ratio()
-                    if value is None else (value, lam ** weight))
             yield ratio_report("main", {"k": name, "N": upper},
-                               (column[upper], scales[upper]), flat, started)
+                               (column[upper], scales[upper]),
+                               (values[place], lam ** weight), started)
 
 
 def riemann_sum(k, upper, method="dp") -> Fraction:

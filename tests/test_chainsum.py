@@ -22,6 +22,7 @@ from zetaflat.chainsum import (
     Residue,
     Weight,
     endpoint_values,
+    chain_trie,
     equality_strata,
     eval_dp,
     eval_dp_mod,
@@ -257,6 +258,33 @@ def test_dp_extends_a_prefix_layer():
                 assert dp_sum(*tail, front) == want, (spec, upper, j)
                 done += 1
     assert done > 200
+
+
+@pytest.mark.parametrize("rule", ["prefix", "weight"])
+def test_chain_trie_is_a_preorder(rule):
+    """The trie of the strict chains (by prefix) or of the block forms (by
+    weight) of the indices of weight <= w has one node per index, and a
+    node's parent is the index without its last part, or with its last
+    part lowered by one (dropped at 1).  In `chain_trie` order that parent
+    is the last node before it one position shorter, so a walk keeps one
+    layer per depth on a stack."""
+    compile, parent = {
+        "prefix": (zeta_chain, lambda k: k[:-1]),
+        "weight": (flat_chain,
+                   lambda k: k[:-1] + (k[-1] - 1,) if k[-1] > 1 else k[:-1]),
+    }[rule]
+    for w in range(1, 9):
+        chains = {tuple(k): compile(k) for k in indices_up_to_weight(w)}
+        nodes = chain_trie(chains.values())
+        assert nodes == sorted(spec.positions for spec in chains.values())
+        for k, spec in chains.items():
+            if parent(k):
+                assert chains[parent(k)].positions == spec.positions[:-1], k
+        stack = []
+        for node in nodes:
+            del stack[len(node) - 1:]
+            assert len(stack) == len(node) - 1 and stack[-1:] in ([], [node[:-1]])
+            stack.append(node)
 
 
 def test_plan_rows_are_cached_denominators():

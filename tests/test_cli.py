@@ -752,3 +752,62 @@ def test_console_module_invocation():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "49/36\n"
+
+
+@pytest.mark.parametrize("suite, argv, faulted", [
+    ("log2", ["--max-upper", "6"], {"upper": 5}),
+    ("hoffman-identity", ["--max-weight", "2", "--max-upper", "4"],
+     {"k": "1,1", "N": 3}),
+])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_side_one_unit_off_fails_its_input(suite, argv, faulted, side,
+                                             monkeypatch, capsys):
+    """Mutation: one side of one input of log2 or hoffman-identity one unit
+    of its scale off, and the suite exits 1 with that input alone failing."""
+    module = {"log2": mzv_real, "hoffman-identity": finite_padic}[suite]
+    real = module.ratio_report
+
+    def shifted(check_id, inputs, lhs, rhs, started):
+        sides = [lhs, rhs]
+        if inputs == faulted:
+            num, den = sides[side]
+            sides[side] = num + 1, den
+        return real(check_id, inputs, *sides, started)
+
+    monkeypatch.setattr(module, "ratio_report", shifted)
+    code, out, _ = run_cli(["verify", suite, *argv], capsys)
+    *lines, summary = out.splitlines()
+    named = " ".join(f"{key}={value}" for key, value in faulted.items())
+    assert code == 1 and summary == f"FAIL {len(lines) - 1}/{len(lines)}"
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        line for line in lines if line.startswith(f"FAIL {suite} {named}  ")]
+
+
+PERFBENCH_CHILD = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "child.py")
+
+
+@pytest.mark.parametrize("argv", [
+    ["main", "--max-weight", "2", "--max-upper", "5"],
+    ["telescope", "--max-weight", "2", "--max-upper", "4"],
+    ["padic", "--max-weight", "2", "--primes", "3..7", "--n-values", "1,2"],
+    ["duality-r", "--powers", "3..5"],
+], ids=lambda argv: argv[0])
+def test_traced_sweep_passes(argv, tmp_path):
+    """A sweep run under the benchmark's tracer passes as a plain one does,
+    and its report holds the spans and the two caches the benchmark reads."""
+    import marshal
+
+    report = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, PERFBENCH_CHILD, str(report), "trace", "--",
+         "verify", *argv, "--jobs", "1", "--json"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines and proc.stderr.splitlines()[-1] == f"PASS {len(lines)}/{len(lines)}"
+    with open(report, "rb") as fh:
+        data = marshal.load(fh)
+    assert data["rc"] == 0 and data["spans"]["names"]
+    assert set(data["caches"]) == {"connector", "zeta_residue"}

@@ -19,7 +19,13 @@ from math import comb
 
 import pytest
 
-from zetaflat.chainsum import reflect_chain, tilde_chain
+from zetaflat.chainsum import (
+    chain_trie,
+    flat_chain,
+    reflect_chain,
+    tilde_chain,
+    zeta_chain,
+)
 from zetaflat.cli import _telescope_report, main
 from zetaflat.connected_sum import (
     TelescopeStage,
@@ -273,62 +279,54 @@ class _Table(list):
     """A list that can be watched through a weak reference."""
 
 
-class _Walk(dict):
-    """A dict that can be watched through a weak reference."""
-
-
 def _telescope_tasks(weight, top):
     return [(_telescope_report, {"k": k, "upper": n})
             for k in indices_up_to_weight(weight) for n in range(1, top + 1)]
 
 
 def test_sweep_forms_each_right_side_once(monkeypatch):
-    """telescope_sweep evaluates the right chain of each (suffix, fence)
-    once and keeps none of those values, drops each fence's walk after
-    the fence's last report, and its reports equal those of each route
-    telescoped alone."""
+    """telescope_sweep builds the right chain of each suffix once, walks
+    the trie of those chains once per fence, at N, and the trie of the
+    block forms at N + 1, and keeps none of their layers; it keeps each
+    fence's table until the fence's last report and the left layers until
+    the run ends, and its reports equal those of each route telescoped
+    alone."""
     # The package exports the function connected_sum under the module's name.
     module = sys.modules["zetaflat.connected_sum"]
-    chains, rights, walks, lefts = Counter(), [], {}, []
-    real_values = module.endpoint_values
-    real_walk = module._flat_walk
-    real_prefixes = module._prefix_walk
+    tildes, walks, watched = Counter(), [], []
+    real_tilde, real_walk = module.tilde_chain, module.trie_walk
 
-    def endpoint_values(spec, upper):
-        chains[spec, upper] += 1
-        front, scale = real_values(spec, upper)
-        rights.append(weakref.ref(front := _Table(front)))
-        return front, scale
+    def tilde_chain(l):
+        tildes[tuple(l)] += 1
+        return real_tilde(l)
 
-    def flat_walk(upper, nodes, *keep):
-        # Stage r of a route at fence N is a walk at N + 1.
-        walks[upper - 1] = weakref.ref(walk := _Walk(real_walk(upper, nodes, *keep)))
-        return walk
-
-    def prefix_walk(upper, nodes):
-        # The left sides' walk: its layers are watched one by one.
-        for layer in real_prefixes(upper, nodes):
-            lefts.append(weakref.ref(layer := _Table(layer)))
+    def trie_walk(upper, nodes):
+        walks.append((upper, nodes))
+        for layer in real_walk(upper, nodes):
+            watched.append((len(walks), weakref.ref(layer := _Table(layer))))
             yield layer
 
     tasks = _telescope_tasks(4, 8)
     alone = [fn(**kwargs) for fn, kwargs in tasks]
     last = {kwargs["upper"]: i for i, (_, kwargs) in enumerate(tasks)}
-    monkeypatch.setattr(module, "endpoint_values", endpoint_values)
-    monkeypatch.setattr(module, "_flat_walk", flat_walk)
-    monkeypatch.setattr(module, "_prefix_walk", prefix_walk)
-    for i, (want, report) in enumerate(
-            zip(alone, telescope_sweep(tasks), strict=True)):
+    first = {kwargs["upper"]: i for i, (_, kwargs) in reversed(list(enumerate(tasks)))}
+    monkeypatch.setattr(module, "tilde_chain", tilde_chain)
+    monkeypatch.setattr(module, "trie_walk", trie_walk)
+    sweep = telescope_sweep(tasks)
+    for i, (want, report) in enumerate(zip(alone, sweep, strict=True)):
         assert report.passed
         assert (report.lhs, report.rhs) == (want.lhs, want.rhs)
-        assert all(ref() is None for ref in rights)
-        assert all(walks[n]() is None for n, j in last.items() if j <= i)
-    suffixes = {k[j:] for k in indices_up_to_weight(4) for j in range(1, len(k))}
-    assert chains == Counter({(reflect_chain(tilde_chain(s)), n): 1
-                              for s in suffixes for n in range(1, 9)})
-    assert sorted(walks) == [*range(1, 9)]
-    assert all(ref() is None for ref in walks.values())
-    assert len(lefts) == 15 and all(ref() is None for ref in lefts)
+        assert all(ref() is None for walk, ref in watched if walk > 1)
+        assert sorted(sweep.gi_yieldfrom.gi_frame.f_locals["tables"]) == sorted(
+            n for n, j in last.items() if first[n] <= i < j)
+    indices = indices_up_to_weight(4)
+    suffixes = {k[j:] for k in indices for j in range(1, len(k))}
+    assert tildes == Counter(dict.fromkeys(suffixes, 1))
+    forms = chain_trie(map(flat_chain, indices))
+    rights = chain_trie(reflect_chain(tilde_chain(s)) for s in suffixes)
+    assert walks == [(9, chain_trie(map(zeta_chain, indices)))] + [
+        walk for n in range(1, 9) for walk in ((n + 1, forms), (n, rights))]
+    assert all(ref() is None for _, ref in watched)
 
 
 def test_sweep_past_the_table_budget(monkeypatch):
@@ -336,10 +334,10 @@ def test_sweep_past_the_table_budget(monkeypatch):
     weight 3 and fences 1..4 only where the index changes: the indices of
     weight <= 2 in one run (3 nodes * 2^2 * 5^2 = 300 bits), and each index
     of weight 3 in a run of its own, past the budget alone (3 * 3^2 * 25 =
-    675).  Each run walks its own prefixes once, at its top fence + 1, and
-    its own branches once per fence + 1, a one-index run too, keeping the
-    values of its own indices only; no route runs `telescope`, and every
-    report equals its route telescoped alone."""
+    675).  Each run walks the trie of its strict chains once, at its top
+    fence + 1, and at each fence the tries of its own block forms, at
+    N + 1, and right chains, at N, a one-index run too; no route runs
+    `telescope`, and every report equals its route telescoped alone."""
     module = sys.modules["zetaflat.connected_sum"]
     mzv_real = sys.modules["zetaflat.mzv_real"]
     tasks = _telescope_tasks(3, 4)
@@ -348,26 +346,42 @@ def test_sweep_past_the_table_budget(monkeypatch):
     runs = [list(dict.fromkeys(kwargs["k"] for _, kwargs in run))
             for run, *_ in mzv_real.budget_runs(tasks, "telescope")]
     assert runs == [[(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
-    prefixes, flats = [], []
-    real_prefixes, real_flats = module._prefix_walk, module._flat_walk
-
-    def prefix_walk(upper, nodes):
-        prefixes.append((upper, len(nodes)))
-        return real_prefixes(upper, nodes)
-
-    def flat_walk(upper, nodes, *keep):
-        flats.append((upper, nodes, sorted(walk := real_flats(upper, nodes, *keep))))
-        return walk
-
-    monkeypatch.setattr(module, "_prefix_walk", prefix_walk)
-    monkeypatch.setattr(module, "_flat_walk", flat_walk)
+    walks = []
+    real = module.trie_walk
+    monkeypatch.setattr(module, "trie_walk", lambda upper, nodes:
+                        walks.append((upper, nodes)) or real(upper, nodes))
     monkeypatch.setattr(module, "telescope", None)
     for want, report in zip(alone, telescope_sweep(tasks), strict=True):
         assert report.passed and (report.lhs, report.rhs) == (want.lhs, want.rhs)
-    assert prefixes == [(5, len({k[:i] for k in run for i in range(1, len(k) + 1)}))
-                        for run in runs]
-    assert flats == [(n + 1, sorted({m for k in run for m in mzv_real._branch(k)}),
-                      sorted(run)) for run in runs for n in range(1, 5)]
+    want = []
+    for run in runs:
+        rights = chain_trie(reflect_chain(tilde_chain(k[j:]))
+                            for k in run for j in range(1, len(k)))
+        want.append((5, chain_trie(map(zeta_chain, run))))
+        for n in range(1, 5):
+            want += [(n + 1, chain_trie(map(flat_chain, run))), (n, rights)]
+    assert walks == want
+
+
+def test_one_shifted_right_layer_fails_its_routes(monkeypatch, capsys):
+    """Mutation: one entry of the right layer of suffix (1,) at fence 4
+    shifted by one, and verify telescope exits 1 with exactly the routes
+    through ((1,), 4) failing, their stages diverging."""
+    module = sys.modules["zetaflat.connected_sum"]
+    real, target = module.trie_walk, reflect_chain(tilde_chain((1,))).positions
+
+    def trie_walk(upper, nodes):
+        for node, layer in zip(nodes, real(upper, nodes)):
+            yield [layer[0] + 1, *layer[1:]] if (upper, node) == (4, target) else layer
+
+    monkeypatch.setattr(module, "trie_walk", trie_walk)
+    assert main(["verify", "telescope", "--max-weight", "3", "--max-upper", "6",
+                 "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == "FAIL 39/42"
+    failed = [r for r in map(json.loads, out.splitlines()) if not r["pass"]]
+    assert [(r["inputs"], r["rhs"]) for r in failed] == [
+        ({"k": k, "N": "4"}, "stages diverge") for k in ("1,1", "1,1,1", "2,1")]
 
 
 def test_sweep_reads_a_route_again():

@@ -14,7 +14,13 @@ from math import comb
 import pytest
 
 from zetaflat import finite_padic
-from zetaflat.chainsum import Residue, eval_dp_mod, zeta_chain, zeta_star_chain
+from zetaflat.chainsum import (
+    Residue,
+    chain_trie,
+    eval_dp_mod,
+    zeta_chain,
+    zeta_star_chain,
+)
 from zetaflat.finite_padic import (
     PADIC_FIXTURES,
     SEKI_FIXTURES,
@@ -39,7 +45,6 @@ from zetaflat.index_algebra import (
     compositions_of,
     hoffman_dual,
     indices_up_to_weight,
-    trie_order,
 )
 from zetaflat.mzv_real import zeta_trunc
 from zetaflat.reports import fraction_str
@@ -294,7 +299,7 @@ def test_min_passing_prime_through_one_table_per_pair():
     """Read through `residue_lookups`, one walk mod p^3 per prime of every
     index up to weight 3 + 2, read mod p^n, as tools/pin_thresholds.py
     reads them, the thresholds of weight <= 3 are the pinned ones, and so
-    are those of weight <= 2 read through the default per-branch walks."""
+    are those of weight <= 2 read through the default per-index walks."""
     zeta = finite_padic.residue_lookups(3, 3)
     for check, name in ((padic_duality_check, PADIC_FIXTURES),
                         (seki_lifting_check, SEKI_FIXTURES)):
@@ -347,14 +352,16 @@ def cold_tables():
 
 
 def test_residue_tables_match_modular_dp(cold_tables):
-    """Every index of weight <= 6, as one walk per pair and as the branch
-    of a single lookup, equals the residue DP of its strict chain; at
-    p = 2 and 3 the deep chains are empty and read 0."""
-    indices = [tuple(k) for k in indices_up_to_weight(6)]
+    """Every index of weight <= 6, as one walk per pair of the trie of
+    their strict chains (one node per index, in their order) and as the
+    prefixes of a single lookup, equals the residue DP of its strict
+    chain; at p = 2 and 3 the deep chains are empty and read 0."""
+    indices = sorted(tuple(k) for k in indices_up_to_weight(6))
+    nodes = chain_trie(map(zeta_chain, indices))
+    assert nodes == [zeta_chain(k).positions for k in indices]
     for p in primes_in(2, 31):
         for n in (1, 2, 3):
-            table = finite_padic._walk(p, n, trie_order(6))
-            assert sorted(table) == sorted(indices)
+            table = dict(zip(indices, finite_padic._walk(p, n, nodes)))
             for k in indices:
                 want = eval_dp_mod(zeta_chain(k), p, p ** n).value
                 assert table[k] == want, (k, p, n)
@@ -373,7 +380,9 @@ def test_checks_read_only_the_lookup_they_are_given(check, n, cold_tables):
     flips its verdict."""
     k, p = Index((2, 1, 1)), 11
     args = (k, p) if n == 1 else (k, p, n)
-    table = finite_padic._walk(p, n, trie_order(k.weight + n - 1))
+    indices = sorted(map(tuple, indices_up_to_weight(k.weight + n - 1)))
+    nodes = chain_trie(map(zeta_chain, indices))  # in the indices' order
+    table = dict(zip(indices, finite_padic._walk(p, n, nodes)))
     reads = []
 
     def lookup(m, q, e):
@@ -449,7 +458,7 @@ def test_sweep_lookups_are_the_residues_of_single_checks(cold_tables):
     zeta = finite_padic.residue_lookups(4, 3)
     for p in (2, 3, 7):
         for n in (1, 2, 3):
-            for m in trie_order(4 + n - 1):
+            for m in map(tuple, indices_up_to_weight(4 + n - 1)):
                 value = zeta(m, p, n)
                 assert value == finite_padic._zeta_residue(m, p, n), (m, p, n)
                 assert 0 <= value < p ** n
@@ -473,9 +482,9 @@ def test_a_walk_one_exponent_short_fails_the_lifted_checks(monkeypatch, capsys):
 
 
 def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
-    """Checks called one by one with their default lookup walk the branch
+    """Checks called one by one with their default lookup walk the prefixes
     of each index they read, once per (index, prime, exponent), and keep
-    no table; a single heavy lookup walks only its own branch."""
+    no table; a single heavy lookup walks only its own prefixes."""
     walks = []
     real = finite_padic._walk
     monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
@@ -485,11 +494,11 @@ def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
             assert padic_duality_check(k, p, 2).passed
     assert len(set(walks)) == len(walks)
     for p, n, nodes in walks:
-        m = nodes[-1]
+        m = tuple(pos.weight.harm for pos in nodes[-1])
         assert (p, n) in ((5, 2), (7, 2)) and sum(m) <= 5
-        assert nodes == tuple(m[:d] for d in range(1, len(m) + 1))
+        assert nodes == tuple(chain_trie([zeta_chain(m)]))
     assert finite_padic._zeta_residue.cache_info().currsize == len(walks)
     walks.clear()
     k = (1,) * 9 + (2,) * 6
     assert zeta_mod(k, 31, 2).value == eval_dp_mod(zeta_chain(k), 31, 31 ** 2).value
-    assert walks == [(31, 2, tuple(k[:d] for d in range(1, len(k) + 1)))]
+    assert walks == [(31, 2, tuple(chain_trie([zeta_chain(k)])))]

@@ -29,7 +29,6 @@ from zetaflat.index_algebra import (
     refines,
     shift_vectors,
     squeeze_lattice,
-    trie_order,
 )
 
 
@@ -320,28 +319,3 @@ def test_compositions_of():
         assert len(cs) == 2 ** (w - 1)
         assert cs == sorted(words_of_weight(w))
     assert len(indices_up_to_weight(5)) == 1 + 2 + 4 + 8 + 16
-
-
-@pytest.mark.parametrize("rule", ["prefix", "weight"])
-def test_trie_order_is_a_preorder(rule):
-    """In trie_order, under either parent rule, each node's parent is the
-    last node before it one level up, so a walk can keep one layer per
-    level on a stack."""
-    if rule == "prefix":
-        def parent(k):
-            return k[:-1]
-        depth = len
-    else:
-        def parent(k):
-            return k[:-1] + (k[-1] - 1,) if k[-1] > 1 else k[:-1]
-        depth = sum
-    for w in range(1, 11):
-        order = trie_order(w)
-        assert sorted(order) == list(order)
-        assert sorted(order) == sorted(map(tuple, indices_up_to_weight(w)))
-        stack = []
-        for k in order:
-            del stack[depth(k) - 1:]
-            assert (stack[-1] if stack else ()) == parent(k), (rule, k)
-            assert len(stack) == depth(k) - 1, (rule, k)
-            stack.append(k)

@@ -21,6 +21,7 @@ from zetaflat.chainsum import (
     Position,
     REFLECTED,
     Weight,
+    chain_trie,
     endpoint_values,
     eval_dp,
     eval_enum,
@@ -33,7 +34,6 @@ from zetaflat.index_algebra import (
     coarsenings,
     dual,
     indices_up_to_weight,
-    trie_order,
 )
 from zetaflat.reports import decimal_str, fraction_str
 from zetaflat.mzv_real import (
@@ -459,57 +459,43 @@ def test_zeta_trunc_single_fence_dispatch(upper, monkeypatch):
 
 @pytest.fixture
 def flat_walks(monkeypatch):
-    """The list of (fence, nodes) of every trie walk made during a test."""
+    """The list of (fence, nodes) of every trie walk `main_sweep` makes
+    during a test."""
     walks = []
-    real = mzv_real._flat_walk
-    monkeypatch.setattr(mzv_real, "_flat_walk", lambda upper, nodes, *keep:
-                        walks.append((upper, list(nodes)))
-                        or real(upper, nodes, *keep))
+    real = mzv_real.trie_walk
+    monkeypatch.setattr(mzv_real, "trie_walk", lambda upper, nodes:
+                        walks.append((upper, list(nodes))) or real(upper, nodes))
     return walks
 
 
 def test_flat_walk_matches_oracles(flat_walks):
-    """Every index of weight <= 6 at fences 0..16: read by `main_sweep`
-    from one walk of the whole trie per fence it equals enumeration, and
-    read alone (its own branch) it equals the dynamic program over its
-    block form."""
+    """Every index of weight <= 6 at fences 0..16, read by `main_sweep`
+    from one walk of the trie of all their block forms per fence, equals
+    enumeration; zeta_flat, one dynamic program over a block form, keeps
+    its messages for an empty index and a negative fence."""
     tasks = [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
              for k in indices_up_to_weight(6) for n in range(17)]
     for (_, kwargs), report in zip(tasks, main_sweep(tasks), strict=True):
         k, n = kwargs["k"], kwargs["upper"]
         assert report.rhs == fraction_str(eval_enum(flat_chain(k), n)), (k, n)
-    assert [n for n, nodes in flat_walks] == list(range(2, 17))
+    assert [n for n, nodes in flat_walks] == list(range(17))
     assert all(len(nodes) == 63 for _, nodes in flat_walks)
-    for n in range(17):
-        for k in trie_order(6):
-            assert zeta_flat(k, n) == eval_dp(flat_chain(k), n), (k, n)
-
-
-def test_flat_branch_walks_weight_nodes(flat_walks):
-    """zeta_flat walks k's own branch, one node per unit of weight, and
-    keeps nothing: a second read walks it again."""
-    k = (2, 1, 3)
-    branch = (12, [(1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3)])
-    assert zeta_flat(k, 12) == eval_dp(flat_chain(k), 12)
-    assert flat_walks == [branch]
-    assert zeta_flat(k, 12) == eval_dp(flat_chain(k), 12)
-    assert flat_walks == [branch, branch]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need a nonempty index"):
         zeta_flat((), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="upper fence must be non-negative"):
         zeta_flat((1, 2), -1)
 
 
 def test_sweep_walks_each_fence_once(flat_walks, capsys):
     """verify main hands its grid to one `main_sweep` call, which walks
     the whole trie at each fence once, at its first read, and every later
-    check reads that walk; fences 0 and 1 hold no tuple and walk nothing."""
+    check reads that walk; fence 1 holds no tuple and walks zero layers."""
     from zetaflat.cli import main
 
     assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9"]) == 0
     capsys.readouterr()
     assert sorted((n, len(nodes)) for n, nodes in flat_walks) == [
-        (n, 15) for n in range(2, 10)]
+        (n, 15) for n in range(1, 10)]
 
 
 def _key(report):
@@ -523,11 +509,11 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
     3 and fences 1..6 only where the index changes: the indices of weight
     <= 2 in one run (3 nodes * 2 * 6^2 = 216 bits), and each index of
     weight 3 in a run of its own, past the budget alone (3 * 3 * 36 = 324).
-    Each run walks its own branches once per fence, a one-index run too,
-    and holds a fence's table, one value per index of the run, each taken
-    out as read, from its first read to its last read in the run only: a
-    one-index run holds none across fences.  Every report equals its check
-    called alone."""
+    Each run walks the trie of its own block forms once per fence, a
+    one-index run too, and holds a fence's table, one value per index of
+    the run, read in place, from its first read to its last read in the
+    run only: a one-index run holds none across fences.  Every report
+    equals its check called alone."""
     tasks = [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
              for k in indices_up_to_weight(3) for n in range(1, 7)]
     alone = [_key(fn(**kwargs)) for fn, kwargs in tasks]
@@ -552,11 +538,12 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
                                   if r == run_of[i] and first <= i < end]
         assert all(len(values) == len(set(runs[run_of[i]]))
                    for values, _ in tables.values())
-        if upper in tables:  # the value just read is taken out
-            assert tables[upper][0][frame["ks"][k]] is None
-    assert flat_walks == [
-        (n, sorted({m for k in run for m in mzv_real._branch(k)}))
-        for run in runs for n in range(2, 7)]
+        if upper in tables:  # the value just read stays in place
+            values, lam = tables[upper]
+            assert Fraction(values[frame["places"][k]], lam ** sum(k)) == (
+                zeta_flat(k, upper))
+    assert flat_walks == [(n, chain_trie(map(flat_chain, set(run))))
+                          for run in runs for n in range(1, 7)]
 
 
 def test_sweep_computes_each_lcm_once(monkeypatch, capsys):
@@ -588,15 +575,14 @@ def test_sweep_fails_on_one_changed_flat_value(monkeypatch, capsys):
     strict = zeta_trunc(k, fence)
     flat = zeta_flat(k, fence) + Fraction(1, lcm_upto(fence) ** 3)
     assert strict != flat
-    real = mzv_real._flat_walk
+    real, target = mzv_real.trie_walk, flat_chain(k).positions
 
-    def walk(upper, nodes, *keep):
-        values = real(upper, nodes, *keep)
-        if upper == fence:
-            values[k] += 1
-        return values
+    def walk(upper, nodes):
+        for node, layer in zip(nodes, real(upper, nodes)):
+            shifted = (upper, node) == (fence, target)
+            yield [layer[0] + 1, *layer[1:]] if shifted else layer
 
-    monkeypatch.setattr(mzv_real, "_flat_walk", walk)
+    monkeypatch.setattr(mzv_real, "trie_walk", walk)
     assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9",
                  "--json"]) == 1
     out, err = capsys.readouterr()

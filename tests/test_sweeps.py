@@ -17,19 +17,25 @@ A run of the residue sweep that mixes exponents 1, 2 and 3 over several
 primes, with reports of missing fixtures among its tasks, does the same.
 """
 
+import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetaflat import cli, mzv_real
 from zetaflat.chainsum import (
+    ChainSpec,
     Residue,
+    chain_trie,
     endpoint_values,
     eval_enum,
     flat_chain,
-    lcm_upto,
+    reflect_chain,
+    tilde_chain,
     trie_walk,
     zeta_chain,
 )
@@ -45,10 +51,8 @@ from zetaflat.finite_padic import (
     residue_sweep,
     seki_lifting_check,
 )
-from zetaflat.index_algebra import Index, trie_order
+from zetaflat.index_algebra import Index, indices_up_to_weight
 from zetaflat.mzv_real import (
-    _branch,
-    _flat_walk,
     duality_sweep,
     main_identity_check,
     main_sweep,
@@ -113,10 +117,28 @@ def test_reports_do_not_depend_on_the_cuts(grid):
     assert joined == uncut == alone
 
 
-INDICES = [Index(k) for k in trie_order(6)]
+INDICES = [Index(k) for k in indices_up_to_weight(6)]
 RESIDUE_CHECKS = (hoffman_duality_check, antipode_duality_check,
                   padic_duality_check, seki_lifting_check)
 ENUM_FENCE = 8  # enumeration stays cheap up to here at weight 6
+
+
+def right_chains(ks):
+    """The reflected right chains of the suffixes of `ks`, as the
+    connected sums of their routes read them."""
+    return [reflect_chain(tilde_chain(k[j:])) for k in ks for j in range(1, len(k))]
+
+
+def check_trie(chains, upper):
+    """Every node of the chains' trie, walked at `upper`, is the final layer
+    of the dynamic program over its own chain, and at small fences its sum
+    is the enumeration."""
+    nodes = chain_trie(chains)
+    for node, layer in zip(nodes, trie_walk(upper, nodes), strict=True):
+        front, scale = endpoint_values(ChainSpec(node), upper)
+        assert layer == front, (node, upper)
+        if upper <= ENUM_FENCE:
+            assert Fraction(sum(layer), scale) == eval_enum(ChainSpec(node), upper)
 
 
 @st.composite
@@ -125,8 +147,9 @@ def fuzz_cases(draw):
     fence, residue check) triple drawn from those, in any order."""
     ks = draw(st.lists(st.sampled_from(INDICES), min_size=1, max_size=5,
                        unique=True))
-    upper = draw(st.integers(2, 24))
-    reads = draw(st.lists(st.tuples(st.sampled_from(ks), st.integers(1, upper),
+    upper = draw(st.integers(0, 24))
+    reads = draw(st.lists(st.tuples(st.sampled_from(ks),
+                                    st.integers(1, max(upper, 1)),
                                     st.sampled_from(RESIDUE_CHECKS)),
                           max_size=8))
     return (ks, upper, draw(st.sampled_from(primes_in(2, 31))),
@@ -137,26 +160,13 @@ def fuzz_cases(draw):
 @given(fuzz_cases())
 def test_trie_walks_and_sweeps_against_their_oracles(case):
     ks, upper, p, n, reads = case
-    prefixes = sorted({k[:i] for k in ks for i in range(1, len(k) + 1)})
-    branches = sorted({node for k in ks for node in _branch(tuple(k))})
-    strict = ((len(m), zeta_chain(m[-1:]).positions[0]) for m in prefixes)
-    opening, continuation = flat_chain((2,)).positions
-    blocks = ((sum(k), opening if k[-1] == 1 else continuation) for k in branches)
-    flats = _flat_walk(upper, branches)
-    residues = _walk(p, n, prefixes)
-    for tries, chain in ((zip(prefixes, trie_walk(upper, strict)), zeta_chain),
-                         (zip(branches, trie_walk(upper, blocks)), flat_chain)):
-        for k, layer in tries:
-            front, scale = endpoint_values(chain(k), upper)
-            assert layer == front, (k, upper)
-            if upper <= ENUM_FENCE:
-                assert Fraction(sum(layer), scale) == eval_enum(chain(k), upper)
-    for k in branches:
-        assert flats[k] == sum(endpoint_values(flat_chain(k), upper)[0])
-        assert flats[k] == _flat_walk(upper, _branch(k))[k]
-    for m in prefixes:
-        want = Residue.from_fraction(zeta_trunc(m, p), p ** n).value
-        assert residues[m] == want, (m, p, n)
+    for chains in ([zeta_chain(k) for k in ks], [flat_chain(k) for k in ks],
+                   right_chains(ks)):
+        check_trie(chains, upper)
+    strict = chain_trie(map(zeta_chain, ks))
+    for node, residue in zip(strict, _walk(p, n, strict), strict=True):
+        m = tuple(pos.weight.harm for pos in node)
+        assert residue == Residue.from_fraction(zeta_trunc(m, p), p ** n).value
 
     def residue_task(k, check):
         lifted = check in (padic_duality_check, seki_lifting_check)
@@ -177,6 +187,55 @@ def test_trie_walks_and_sweeps_against_their_oracles(case):
         alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
         assert [key(r) for r in sweep(tasks)] == alone, sweep.__name__
         assert list(sweep([])) == [], sweep.__name__
+
+
+@pytest.mark.parametrize("upper", [1, 2, 28])
+def test_right_chains_enter_weakly_from_zero(upper):
+    """The reflected right chain of (3,) enters weakly with a factor
+    1/(N - n), from n = 0, and that of (2, 1, 1) has such a weak position
+    after strict ones; that of (1,) is strict.  Each node walks to its
+    oracles, at N = 1 over empty bands too."""
+    chains = [reflect_chain(tilde_chain(s)) for s in ((1,), (3,), (2, 1, 1))]
+    weak = [[(i, pos.weight.harm) for i, pos in enumerate(spec.positions)
+             if not pos.strict_before] for spec in chains]
+    assert weak == [[], [(0, 0), (1, 0)], [(2, 0)]]
+    check_trie(chains, upper)
+
+
+def test_sweeps_take_no_fork(monkeypatch):
+    """Telescope and main dp grids, read in shuffled order with repeats,
+    give the reports of each check called alone with the one-off paths a
+    sweep once took for a read again or a small fence raising
+    (`connected_sum.endpoint_values`, `connected_sum.telescope`,
+    `mzv_real.zeta_flat`); and the sweep builds the right chain of each
+    suffix once."""
+    rng, indices = random.Random(26), indices_up_to_weight(4)
+    suffixes = sorted({k[j:] for k in indices for j in range(1, len(k))})
+    grids = [
+        (main_sweep, [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
+                      for k in indices for n in range(8)], []),
+        (telescope_sweep, [(cli._telescope_report, {"k": k, "upper": n})
+                           for k in indices for n in range(1, 8)], suffixes),
+    ]
+    # The package exports the function connected_sum under the module's name.
+    connected_sum = sys.modules["zetaflat.connected_sum"]
+    built = []
+    real = connected_sum.tilde_chain
+    monkeypatch.setattr(connected_sum, "tilde_chain",
+                        lambda l: built.append(tuple(l)) or real(l))
+    for sweep, grid, rights in grids:
+        tasks = grid + rng.choices(grid, k=60)
+        rng.shuffle(tasks)
+        alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
+        built.clear()
+
+        def fork(*args, **kwargs):
+            raise AssertionError(f"a sweep took a one-off path: {args}")
+
+        with mock.patch.multiple(connected_sum, endpoint_values=fork, telescope=fork), \
+                mock.patch.object(mzv_real, "zeta_flat", fork):
+            assert [key(r) for r in sweep(tasks)] == alone, sweep.__name__
+        assert len(tasks) == len(grid) + 60 and sorted(built) == rights
 
 
 def mixed_task(k, check, p, n):
