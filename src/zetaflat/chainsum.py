@@ -172,16 +172,13 @@ def tilde_chain(l) -> ChainSpec:
         terminal_strict=l.weight in starts)
 
 
-@lru_cache(maxsize=64)
 def _block_chain(k, start_weight, strict_only_at_starts):
-    # Cached: a sweep compiles one index's block form once for all fences.
     if not k:
         raise ValueError("need a nonempty index")
-    starts = boundary_set_tilde(k)
     opening = Position(start_weight, True)
     inside = Position(HARMONIC, not strict_only_at_starts)
-    return ChainSpec(tuple(opening if i in starts else inside
-                           for i in range(1, k.weight + 1)))
+    # Each part p opens a block: one opening position, then p - 1 inside.
+    return ChainSpec(sum(((opening,) + (inside,) * (p - 1) for p in k), ()))
 
 
 def reflect_chain(spec: ChainSpec) -> ChainSpec:

@@ -14,9 +14,10 @@ import argparse
 import os
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import groupby, islice, takewhile
 from math import gcd, log10
 
 from .connected_sum import (
@@ -283,31 +284,51 @@ def _missing_fixture_report(check_id, k, n):
                        time.perf_counter())
 
 
+class Grid:
+    """A re-iterable grid of (callable, kwargs) tasks: each `iter()` builds
+    them afresh, in order, from `tasks()`, and `len()` is their number,
+    `size`, known without building any (None for a sweep's segment, whose
+    end its passes find)."""
+
+    __slots__ = ("size", "tasks")
+
+    def __init__(self, size, tasks):
+        self.size, self.tasks = size, tasks
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return self.tasks()
+
+
 def verify_tasks(args, caps):
-    """The ordered instance list for one suite: (callable, kwargs) pairs."""
+    """The ordered instance grid of one suite, a `Grid` of (callable,
+    kwargs) tasks.  Every usage error and cap raises here, before any task
+    is built; the tasks are built as a sweep reads them."""
     suite = args.suite
-    tasks = []
     if suite not in ("transport", "duality-r", "log2"):
         if args.max_weight < 1:
             raise ValueError(f"--max-weight must be positive, got {args.max_weight}")
         caps.check_weight(Index((args.max_weight,)))
+    if suite in ("main", "telescope", "hoffman-identity", "transport", "log2"):
+        caps.check_upper(args.max_upper)
+        fences = range(1, args.max_upper + 1)
     if suite in ("main", "telescope", "hoffman-identity"):
-        caps.check_upper(args.max_upper)
-        for k in indices_up_to_weight(args.max_weight):
-            for n in range(1, args.max_upper + 1):
-                if suite == "main":
-                    tasks.append((main_identity_check,
-                                  {"k": k, "upper": n, "method": args.method}))
-                elif suite == "telescope":
-                    tasks.append((_telescope_report, {"k": k, "upper": n}))
-                else:
-                    tasks.append((hoffman_identity_check, {"k": k, "upper": n}))
-    elif suite == "transport":
-        caps.check_upper(args.max_upper)
-        for n in range(1, args.max_upper + 1):
-            tasks.append((_transport_sweep_report, {"which": 1, "upper": n}))
-            tasks.append((_transport_sweep_report, {"which": 2, "upper": n}))
-    elif suite == "duality-r":
+        indices = indices_up_to_weight(args.max_weight)
+        check = {"main": main_identity_check, "telescope": _telescope_report,
+                 "hoffman-identity": hoffman_identity_check}[suite]
+        extra = {"method": args.method} if suite == "main" else {}
+        return Grid(len(indices) * len(fences), lambda: (
+            (check, {"k": k, "upper": n, **extra}) for k in indices for n in fences))
+    if suite == "transport":
+        return Grid(2 * len(fences), lambda: (
+            (_transport_sweep_report, {"which": which, "upper": n})
+            for n in fences for which in (1, 2)))
+    if suite == "log2":
+        return Grid(len(fences), lambda: (
+            (log2_discretization_check, {"upper": n}) for n in fences))
+    if suite == "duality-r":
         lo, hi = parse_range(args.powers)
         if not 0 <= lo <= hi:
             raise ValueError(f"empty or negative fence range 2^{lo}..2^{hi}")
@@ -327,54 +348,51 @@ def verify_tasks(args, caps):
                     f"--powers {lo}..{hi} gives fewer than two fences above "
                     f"depth {depth} for index {format_index(k)}, so duality-r "
                     f"has nothing to compare")
-            tasks.append((_duality_r_report, {"k": k, "lo": lo, "hi": hi}))
-    elif suite in ("duality-a", "antipode", "padic", "seki"):
-        lo, hi = parse_range(args.primes)
-        caps.check_prime(hi)
-        check = {"duality-a": hoffman_duality_check,
-                 "antipode": antipode_duality_check,
-                 "padic": padic_duality_check,
-                 "seki": seki_lifting_check}[suite]
-        # duality-a and antipode are the unlifted statements, exponent 1.
-        lifted = suite in ("padic", "seki")
-        n_values, fixtures = [1], None
-        if lifted:
-            n_values = parse_exponents(args.n_values)
-            for n in n_values:
-                caps.check_exponent(n)
-                if n >= 2 and fixtures is None:
-                    fixtures = load_thresholds(
-                        PADIC_FIXTURES if suite == "padic" else SEKI_FIXTURES)
-        # One prime list for the grid; each exponent's floor filters it.
-        primes = primes_in(lo, hi)
-        for k in indices_up_to_weight(args.max_weight):
-            for n in n_values:
-                if n == 1:
-                    floor = max(lo, 3)
-                else:
-                    pinned = fixtures.get((k, n))
-                    if pinned is None:
-                        tasks.append((_missing_fixture_report,
-                                      {"check_id": check.__name__
-                                       .replace("_check", "")
-                                       .replace("_", "-"),
-                                       "k": k, "n": n}))
-                        continue
-                    floor = max(lo, pinned)
-                for p in (q for q in primes if q >= floor):
-                    tasks.append((check, {"k": k, "p": p, "n": n} if lifted
-                                  else {"k": k, "p": p}))
-    elif suite == "log2":
-        caps.check_upper(args.max_upper)
-        for n in range(1, args.max_upper + 1):
-            tasks.append((log2_discretization_check, {"upper": n}))
-    return tasks
+        return Grid(len(indices), lambda: (
+            (_duality_r_report, {"k": k, "lo": lo, "hi": hi}) for k in indices))
+    # duality-a, antipode, padic, seki
+    lo, hi = parse_range(args.primes)
+    caps.check_prime(hi)
+    check = {"duality-a": hoffman_duality_check,
+             "antipode": antipode_duality_check,
+             "padic": padic_duality_check,
+             "seki": seki_lifting_check}[suite]
+    check_id = check.__name__.replace("_check", "").replace("_", "-")
+    # duality-a and antipode are the unlifted statements, exponent 1.
+    lifted = suite in ("padic", "seki")
+    n_values, fixtures = [1], None
+    if lifted:
+        n_values = parse_exponents(args.n_values)
+        for n in n_values:
+            caps.check_exponent(n)
+            if n >= 2 and fixtures is None:
+                fixtures = load_thresholds(
+                    PADIC_FIXTURES if suite == "padic" else SEKI_FIXTURES)
+    # One prime list for the grid; each exponent's floor filters it.  A
+    # (k, n) without a pinned threshold reports so, as one task.
+    primes = primes_in(lo, hi)
+    cells = [(k, n, 3 if n == 1 else fixtures.get((k, n)))
+             for k in indices_up_to_weight(args.max_weight) for n in n_values]
+    cells = [(k, n, floor if floor is None else
+              bisect_left(primes, max(lo, floor))) for k, n, floor in cells]
+
+    def tasks():
+        for k, n, first in cells:
+            if first is None:
+                yield _missing_fixture_report, {"check_id": check_id, "k": k, "n": n}
+                continue
+            for p in primes[first:]:
+                yield check, {"k": k, "p": p, "n": n} if lifted else {"k": k, "p": p}
+    return Grid(sum(1 if first is None else len(primes) - first
+                    for _, _, first in cells), tasks)
 
 
 def _sweeps(tasks):
-    """The report of each task, in order: each run of consecutive tasks
-    that one sweep serves goes to it in one call, which shares its tables
-    across the run; any other task is called alone."""
+    """The report of each task of a re-iterable `tasks`, in order: each
+    segment of consecutive tasks that one sweep serves goes to it in one
+    call, as a re-iterable of its own, and shares its tables; any other
+    task is called alone.  One pass, a step behind the sweeps, finds
+    where each segment starts."""
     # Built at each call from the module's names, as a tracer rebinds them.
     sweeps = dict.fromkeys((hoffman_duality_check, antipode_duality_check,
                             padic_duality_check, seki_lifting_check,
@@ -383,11 +401,16 @@ def _sweeps(tasks):
                    hoffman_identity_check: hoffman_identity_sweep,
                    _telescope_report: telescope_sweep,
                    _duality_r_report: duality_sweep})
+    start = 0
     for sweep, run in groupby(tasks, lambda task: sweeps.get(task[0])):
-        if sweep is None:
-            yield from (fn(**kwargs) for fn, kwargs in run)
-        else:
-            yield from sweep(run)
+        if sweep is not None:
+            fns = {fn for fn, served in sweeps.items() if served is sweep}
+            yield from sweep(Grid(None, lambda start=start, fns=fns: takewhile(
+                lambda task: task[0] in fns, islice(tasks, start, None))))
+        for fn, kwargs in run:
+            start += 1
+            if sweep is None:
+                yield fn(**kwargs)
 
 
 def cmd_verify(args):

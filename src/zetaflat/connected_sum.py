@@ -271,14 +271,16 @@ def telescope_report(name, upper, stages, started):
 
 
 def telescope_sweep(tasks):
-    """`telescope_report` of each (check, kwargs) task, in order, swept in
-    `budget_runs`, each run with tables of its own (`_telescope_run`)."""
+    """`telescope_report` of each (check, kwargs) task of a re-iterable
+    `tasks`, in order, swept in `budget_runs`, each run read once with
+    tables of its own (`_telescope_run`)."""
     for run, forms, last in budget_runs(tasks, "telescope"):
         yield from _telescope_run(run, forms, last)
 
 
 def _telescope_run(run, forms, last):
-    """The reports of a run of `telescope_sweep`.  One walk of the strict
+    """The reports of a run of `telescope_sweep`, from one read of its
+    tasks, planned by `budget_runs` (forms, last).  One walk of the strict
     chains' trie at the top fence + 1 gives every left layer and stage 0
     (endpoint values of zeta_chain(left) at v <= N do not depend on the
     fence).  A fence's first read walks the trie of the block forms at

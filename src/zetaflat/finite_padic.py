@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import time
 from functools import lru_cache
+from itertools import groupby
 from math import comb
 from pathlib import Path
 
@@ -199,28 +200,28 @@ def hoffman_identity_check(k, upper):
 
 def hoffman_identity_sweep(tasks):
     """`hoffman_identity_check` for each (check, kwargs) task, in order;
-    each index reads its fences from one pair of dynamic programs at the
-    top fence of the tasks."""
-    tasks = list(tasks)
-    top = max((kwargs["upper"] for _, kwargs in tasks), default=0)
-    fronts_of = None
-    for _, kwargs in tasks:
-        started = time.perf_counter()
-        k, upper = as_index(kwargs["k"]), kwargs["upper"]
-        if upper < 1:
-            raise ValueError("the fence must be at least 1")
-        if k != fronts_of:
-            # All factors are harmonic, so entries at v <= N are those of
-            # fence N.
-            fronts_of = k
-            front, scale = endpoint_values(hoffman_weak_chain(k), top)
-            dual_front, dual_scale = endpoint_values(
-                hoffman_weak_chain(hoffman_dual(k)), top)
-        lhs = sum(front[:upper + 1]), scale
-        rhs = sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
-                  for v in range(1, upper + 1)), dual_scale
-        yield ratio_report("hoffman-identity", {"k": format_index(k), "N": upper},
-                           lhs, rhs, started)
+    each group of consecutive tasks of one index reads its fences from one
+    pair of dynamic programs at the group's top fence."""
+    for _, group in groupby(tasks, lambda task: task[1]["k"]):
+        group, front = list(group), None
+        top = max(kwargs["upper"] for _, kwargs in group)
+        for _, kwargs in group:
+            started = time.perf_counter()
+            k, upper = as_index(kwargs["k"]), kwargs["upper"]
+            if upper < 1:
+                raise ValueError("the fence must be at least 1")
+            if front is None:
+                # All factors are harmonic, so entries at v <= N are those
+                # of fence N.
+                front, scale = endpoint_values(hoffman_weak_chain(k), top)
+                dual_front, dual_scale = endpoint_values(
+                    hoffman_weak_chain(hoffman_dual(k)), top)
+            lhs = sum(front[:upper + 1]), scale
+            rhs = sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
+                      for v in range(1, upper + 1)), dual_scale
+            yield ratio_report("hoffman-identity",
+                               {"k": format_index(k), "N": upper},
+                               lhs, rhs, started)
 
 
 @lru_cache(maxsize=16)
@@ -291,12 +292,14 @@ def residue_lookups(weight, top):
 
 def residue_sweep(tasks):
     """The report of each (check, kwargs) task of the four residue checks,
-    in order, read through `residue_lookups` at the tasks' largest weight
-    and exponent; a task without a prime is called as it is."""
-    tasks = list(tasks)
-    zeta = residue_lookups(
-        max((as_index(kw["k"]).weight for _, kw in tasks), default=0),
-        max((kw.get("n", 1) for _, kw in tasks if "p" in kw), default=1))
+    in order, read through `residue_lookups` at the largest weight and
+    exponent of a first pass over the re-iterable `tasks`; a task without
+    a prime is called as it is."""
+    weight, top = 0, 1
+    for _, kw in tasks:
+        weight = max(weight, as_index(kw["k"]).weight)
+        top = max(top, kw.get("n", 1) if "p" in kw else 1)
+    zeta = residue_lookups(weight, top)
     for check, kwargs in tasks:
         yield check(**kwargs, zeta=zeta) if "p" in kwargs else check(**kwargs)
 

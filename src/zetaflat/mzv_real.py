@@ -17,10 +17,10 @@ and the convergence table for the duality defect.
 from __future__ import annotations
 
 import time
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, groupby
+from itertools import accumulate, compress, groupby, islice
 
 from ._kernels import harmonic_tree
 from .chainsum import (
@@ -118,17 +118,25 @@ def _trie(chains):
 
 
 def runs(tasks, fits):
-    """`tasks` cut only where the index changes into runs: `fits(run, group)`
-    is asked of each index's group in turn, the first with an empty run,
-    and a group that fails opens a run."""
-    run = []
-    for _, group in groupby(tasks, lambda task: task[1]["k"]):
-        if not fits(run, group := list(group)) and run:
-            yield run
-            run = []
-        run += group
-    if run:
-        yield run
+    """The runs of `tasks`, cut only where the index changes, as (size,
+    indices, last), from one pass that holds one index's group of
+    consecutive tasks at a time: `fits(k, top)` is asked of each group
+    (its index, its top fence) in turn, the first to open a run, and a
+    group it refuses opens one.  `indices` are the run's distinct indices
+    in the order of their first tasks, and last[N] is the place in the
+    run of fence N's last task.  A run is yielded once the group after it
+    is read."""
+    size, indices, last = 0, {}, {}
+    for k, group in groupby(tasks, lambda task: task[1]["k"]):
+        fences = [kwargs["upper"] for _, kwargs in group]
+        if not fits(k := tuple(k), max(fences)) and size:
+            yield size, list(indices), last
+            size, indices, last = 0, {}, {}
+        indices[k] = None
+        last.update(zip(fences, range(size, size + len(fences))))
+        size += len(fences)
+    if size:
+        yield size, list(indices), last
 
 
 # Bits a sweep's tables hold over a run of top weight W and top fence N
@@ -142,26 +150,28 @@ FLAT_TABLE_BITS = 1 << 27
 
 
 def budget_runs(tasks, sweep):
-    """`runs` of `tasks` within FLAT_TABLE_BITS by the estimate of `sweep`,
-    each with {index: block form} of its indices, each compiled once, in
-    the order of their first tasks, and its fences' last tasks."""
+    """`runs` of a re-iterable `tasks` within FLAT_TABLE_BITS by the
+    estimate of `sweep`, each as (tasks, forms, last): the run's tasks,
+    read from a second iterator of `tasks`, {index: block form} of its
+    indices, each compiled once, in the order of their first tasks, and
+    its fences' last places.  A run left unread is skipped."""
     covered, tops, forms = set(), (0, 0), {}
 
-    def fits(run, group):
+    def fits(k, top):
         nonlocal covered, tops
-        k = tuple(group[0][1]["k"])
         if k not in forms:
             forms[k] = flat_chain(k)
-        own = set(chain_trie([forms[k]])), (sum(k), max(kw["upper"] for _, kw in group))
+        own = set(chain_trie([forms[k]])), (sum(k), top)
         grown = covered | own[0], tuple(map(max, tops, own[1]))
         joins = TABLE_BITS[sweep](len(grown[0]), *grown[1]) <= FLAT_TABLE_BITS
         covered, tops = grown if joins else own
         return joins
 
-    for run in runs(tasks, fits):
-        yield run, {k: forms[k] for k in dict.fromkeys(
-            tuple(kwargs["k"]) for _, kwargs in run)}, {
-            kwargs["upper"]: i for i, (_, kwargs) in enumerate(run)}
+    reader = iter(tasks)
+    for size, indices, last in runs(tasks, fits):
+        run = islice(reader, size)
+        yield run, {k: forms[k] for k in indices}, last
+        deque(run, 0)
 
 
 def zeta_flat(k, upper, method="dp") -> Fraction:
@@ -182,8 +192,9 @@ def main_identity_check(k, upper, method="dp"):
 
 
 def main_sweep(tasks):
-    """`main_identity_check` for each (check, kwargs) task, in order, swept
-    in `budget_runs`; a task of another method than "dp" is called alone.
+    """`main_identity_check` for each (check, kwargs) task of a re-iterable
+    `tasks`, in order, swept in `budget_runs`, which holds one run's plan
+    at a time; a task of another method than "dp" is called alone.
     An index reads its strict sums from one `scaled_column` to its run's
     top fence.  A fence's first read in a run walks the trie of the run's
     block forms; the fence keeps lcm(1..N) and a list of the run's
@@ -304,8 +315,8 @@ def duality_sweep(tasks):
     """The report of each (check, kwargs) task, in order.  The checks read
     the `scaled_column`s of kwargs["k"] and its dual through a cache local
     to the sweep, each computed once, at its first read, and sharing a
-    table of tree entries while a later column of its top exponent comes."""
-    tasks = list(tasks)
+    table of tree entries while a later column of its top exponent comes.
+    `tasks` is re-iterable: a first pass counts the later columns."""
     later = Counter(max(k) for k in dict.fromkeys(
         k for _, kwargs in tasks for k in (kwargs["k"], dual(kwargs["k"]))))
     entries = {}

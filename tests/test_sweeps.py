@@ -90,7 +90,7 @@ def cut_grids(draw):
                                       max_size=3, unique=True))
             argv.append("--n-values=" + ",".join(map(str, exponents)))
     args = cli.build_parser().parse_args(argv)
-    tasks = cli.verify_tasks(args, cli.caps_of(args))
+    tasks = list(cli.verify_tasks(args, cli.caps_of(args)))
     assume(tasks)
     cuts = draw(st.lists(st.integers(1, len(tasks)), max_size=6))
     # main's and telescope's sweeps cut their runs within the table budget
