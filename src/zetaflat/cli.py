@@ -287,8 +287,7 @@ def _missing_fixture_report(check_id, k, n):
 class Grid:
     """A re-iterable grid of (callable, kwargs) tasks: each `iter()` builds
     them afresh, in order, from `tasks()`, and `len()` is their number,
-    `size`, known without building any (None for a sweep's segment, whose
-    end its passes find)."""
+    `size`, known without building any."""
 
     __slots__ = ("size", "tasks")
 
@@ -300,6 +299,23 @@ class Grid:
 
     def __iter__(self):
         return self.tasks()
+
+
+class _Segment:
+    """The consecutive tasks of a re-iterable `tasks` from place `start`
+    on that `fns` serve: re-iterable, with no length, since only a pass
+    finds where they end.  Each pass builds `tasks` from its first task,
+    so a grid of many segments costs more; a verify grid has at most one."""
+
+    __slots__ = ("tasks", "start", "fns")
+
+    def __init__(self, tasks, start, fns):
+        self.tasks, self.start, self.fns = tasks, start, fns
+
+    def __iter__(self):
+        fns = self.fns
+        return takewhile(lambda task: task[0] in fns,
+                         islice(self.tasks, self.start, None))
 
 
 def verify_tasks(args, caps):
@@ -405,8 +421,7 @@ def _sweeps(tasks):
     for sweep, run in groupby(tasks, lambda task: sweeps.get(task[0])):
         if sweep is not None:
             fns = {fn for fn, served in sweeps.items() if served is sweep}
-            yield from sweep(Grid(None, lambda start=start, fns=fns: takewhile(
-                lambda task: task[0] in fns, islice(tasks, start, None))))
+            yield from sweep(_Segment(tasks, start, fns))
         for fn, kwargs in run:
             start += 1
             if sweep is None:

@@ -271,9 +271,9 @@ def telescope_report(name, upper, stages, started):
 
 
 def telescope_sweep(tasks):
-    """`telescope_report` of each (check, kwargs) task of a re-iterable
-    `tasks`, in order, swept in `budget_runs`, each run read once with
-    tables of its own (`_telescope_run`)."""
+    """`telescope_report` of each (check, kwargs) task of `tasks`, in
+    order, swept in `budget_runs`, each run read once with tables of its
+    own (`_telescope_run`)."""
     for run, forms, last in budget_runs(tasks, "telescope"):
         yield from _telescope_run(run, forms, last)
 

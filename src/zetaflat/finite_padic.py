@@ -293,8 +293,9 @@ def residue_lookups(weight, top):
 def residue_sweep(tasks):
     """The report of each (check, kwargs) task of the four residue checks,
     in order, read through `residue_lookups` at the largest weight and
-    exponent of a first pass over the re-iterable `tasks`; a task without
-    a prime is called as it is."""
+    exponent of a first pass over `tasks` (a list of them if `tasks` is an
+    iterator); a task without a prime is called as it is."""
+    tasks = list(tasks) if iter(tasks) is tasks else tasks
     weight, top = 0, 1
     for _, kw in tasks:
         weight = max(weight, as_index(kw["k"]).weight)

@@ -117,28 +117,6 @@ def _trie(chains):
     return nodes, mask, {key: place[spec.positions] for key, spec in chains.items()}
 
 
-def runs(tasks, fits):
-    """The runs of `tasks`, cut only where the index changes, as (size,
-    indices, last), from one pass that holds one index's group of
-    consecutive tasks at a time: `fits(k, top)` is asked of each group
-    (its index, its top fence) in turn, the first to open a run, and a
-    group it refuses opens one.  `indices` are the run's distinct indices
-    in the order of their first tasks, and last[N] is the place in the
-    run of fence N's last task.  A run is yielded once the group after it
-    is read."""
-    size, indices, last = 0, {}, {}
-    for k, group in groupby(tasks, lambda task: task[1]["k"]):
-        fences = [kwargs["upper"] for _, kwargs in group]
-        if not fits(k := tuple(k), max(fences)) and size:
-            yield size, list(indices), last
-            size, indices, last = 0, {}, {}
-        indices[k] = None
-        last.update(zip(fences, range(size, size + len(fences))))
-        size += len(fences)
-    if size:
-        yield size, list(indices), last
-
-
 # Bits a sweep's tables hold over a run of top weight W and top fence N
 # whose block forms' trie has `nodes` nodes (2^W - 1 on a full grid): a
 # table per fence in main, up to W times as much in telescope's left
@@ -150,28 +128,36 @@ FLAT_TABLE_BITS = 1 << 27
 
 
 def budget_runs(tasks, sweep):
-    """`runs` of a re-iterable `tasks` within FLAT_TABLE_BITS by the
-    estimate of `sweep`, each as (tasks, forms, last): the run's tasks,
-    read from a second iterator of `tasks`, {index: block form} of its
-    indices, each compiled once, in the order of their first tasks, and
-    its fences' last places.  A run left unread is skipped."""
-    covered, tops, forms = set(), (0, 0), {}
+    """The runs of `tasks` within FLAT_TABLE_BITS by the estimate of
+    `sweep`, cut only where the index changes, as (tasks, forms, last):
+    the run's tasks, {index: block form} of its indices in the order of
+    their first tasks, and last[N], the place in the run of fence N's last
+    task.  A first pass holds one index's group of tasks at a time, and a
+    group that would take its run's tables past the budget opens a run,
+    read from a second iterator of `tasks` (a list of them if `tasks` is
+    an iterator) once the group after it is.  A run left unread is skipped."""
+    tasks = list(tasks) if iter(tasks) is tasks else tasks
+    reader, size, covered, tops, forms, last = iter(tasks), 0, set(), (0, 0), {}, {}
 
-    def fits(k, top):
-        nonlocal covered, tops
-        if k not in forms:
-            forms[k] = flat_chain(k)
-        own = set(chain_trie([forms[k]])), (sum(k), top)
-        grown = covered | own[0], tuple(map(max, tops, own[1]))
-        joins = TABLE_BITS[sweep](len(grown[0]), *grown[1]) <= FLAT_TABLE_BITS
-        covered, tops = grown if joins else own
-        return joins
-
-    reader = iter(tasks)
-    for size, indices, last in runs(tasks, fits):
+    def read(size, forms, last):
         run = islice(reader, size)
-        yield run, {k: forms[k] for k in indices}, last
+        yield run, forms, last
         deque(run, 0)
+
+    for k, group in groupby(tasks, lambda task: task[1]["k"]):
+        k, fences = tuple(k), [kwargs["upper"] for _, kwargs in group]
+        form = forms[k] if k in forms else flat_chain(k)
+        own = set(chain_trie([form])), (sum(k), max(fences))
+        grown = covered | own[0], tuple(map(max, tops, own[1]))
+        if TABLE_BITS[sweep](len(grown[0]), *grown[1]) > FLAT_TABLE_BITS and size:
+            yield from read(size, forms, last)
+            size, forms, last, grown = 0, {}, {}, own
+        covered, tops = grown
+        forms[k] = form
+        last.update(zip(fences, range(size, size + len(fences))))
+        size += len(fences)
+    if size:
+        yield from read(size, forms, last)
 
 
 def zeta_flat(k, upper, method="dp") -> Fraction:
@@ -192,9 +178,9 @@ def main_identity_check(k, upper, method="dp"):
 
 
 def main_sweep(tasks):
-    """`main_identity_check` for each (check, kwargs) task of a re-iterable
-    `tasks`, in order, swept in `budget_runs`, which holds one run's plan
-    at a time; a task of another method than "dp" is called alone.
+    """`main_identity_check` for each (check, kwargs) task of `tasks`, in
+    order, swept in `budget_runs`, which holds one run's plan at a time;
+    a task of another method than "dp" is called alone.
     An index reads its strict sums from one `scaled_column` to its run's
     top fence.  A fence's first read in a run walks the trie of the run's
     block forms; the fence keeps lcm(1..N) and a list of the run's
@@ -316,7 +302,9 @@ def duality_sweep(tasks):
     the `scaled_column`s of kwargs["k"] and its dual through a cache local
     to the sweep, each computed once, at its first read, and sharing a
     table of tree entries while a later column of its top exponent comes.
-    `tasks` is re-iterable: a first pass counts the later columns."""
+    A first pass counts the later columns (of a list of the tasks if
+    `tasks` is an iterator)."""
+    tasks = list(tasks) if iter(tasks) is tasks else tasks
     later = Counter(max(k) for k in dict.fromkeys(
         k for _, kwargs in tasks for k in (kwargs["k"], dual(kwargs["k"]))))
     entries = {}

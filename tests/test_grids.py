@@ -7,7 +7,8 @@ is its task count, two passes give equal tasks, and every usage error
 and cap raises from `verify_tasks` itself, before any task is built, so
 the CLI exits 2 or 3 with nothing printed.  Two literal grids pin the
 tasks of main and padic, in order.  A sweep of each suite builds its
-grid at most three times.  Under the default caps the first reports
+grid at most three times, and each public sweep takes a one-shot
+iterator of tasks as well as a list.  Under the default caps the first reports
 come with a traced peak of a few megabytes; a list of the grid's
 million tasks took about 300 MB before the first one.
 """
@@ -23,11 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaflat import cli
+from zetaflat import cli, mzv_real
 from zetaflat.cli import _missing_fixture_report
+from zetaflat.connected_sum import telescope_sweep
 from zetaflat.errors import CapExceededError
-from zetaflat.finite_padic import PADIC_FIXTURES, SEKI_FIXTURES, padic_duality_check
-from zetaflat.mzv_real import main_identity_check
+from zetaflat.finite_padic import (
+    PADIC_FIXTURES, SEKI_FIXTURES, hoffman_identity_sweep, padic_duality_check,
+    residue_sweep)
+from zetaflat.mzv_real import duality_sweep, main_identity_check, main_sweep
 
 
 def grid_of(argv):
@@ -134,6 +138,34 @@ def test_a_sweep_builds_its_grid_at_most_three_times(argv):
     grid.tasks = lambda: (built.append(task) or task for task in tasks())
     assert all(r.passed for r in cli._sweeps(grid))
     assert len(grid) <= len(built) <= 3 * len(grid)
+
+
+def key(report):
+    out = report.to_json_dict()
+    del out["elapsed_ms"]
+    return out
+
+
+@pytest.mark.parametrize("sweep,argv", [
+    (main_sweep, ["main", "--max-weight", "3", "--max-upper", "6"]),
+    (telescope_sweep, ["telescope", "--max-weight", "3", "--max-upper", "4"]),
+    (hoffman_identity_sweep, ["hoffman-identity", "--max-weight", "3",
+                              "--max-upper", "5"]),
+    (residue_sweep, ["padic", "--max-weight", "3", "--primes", "3..23",
+                     "--n-values", "1,2"]),
+    (duality_sweep, ["duality-r", "--powers", "3..6"]),
+], ids=lambda arg: arg[0] if isinstance(arg, list) else None)
+def test_a_sweep_takes_an_iterator_of_tasks(monkeypatch, sweep, argv):
+    """A sweep handed a one-shot iterator gives the reports it gives for a
+    list of the same tasks, main's and telescope's cut into several runs
+    by a small budget, so each run's plan meets that run's tasks."""
+    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 300)
+    tasks = list(grid_of(argv))
+    if sweep in (main_sweep, telescope_sweep):
+        assert len(list(mzv_real.budget_runs(tasks, argv[0]))) > 1
+    want = [key(r) for r in sweep(tasks)]
+    assert len(want) == len(tasks)
+    assert [key(r) for r in sweep(iter(tasks))] == want
 
 
 def test_default_caps_stream_their_first_reports():
