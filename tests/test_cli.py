@@ -356,6 +356,15 @@ PINNED_RUNS = [
      "6a9b446c86ef622e"),
     (["main", "--max-weight", "4", "--max-upper", "8", "--jobs", "2"], 0,
      "75bddc3821218d34"),
+    # Residue grids of mixed exponents (walks mod p^3), and reports of
+    # missing fixtures alone, pinned before the sweeps took their grids'
+    # axes.
+    (["padic", "--max-weight", "4", "--primes", "3..31", "--n-values", "1,2,3"],
+     0, "d4aa5502df0f1ecc"),
+    (["seki", "--max-weight", "3", "--primes", "3..23", "--n-values", "1,2,3"],
+     0, "271e3c33f2f5a965"),
+    (["padic", "--max-weight", "3", "--primes", "3..7", "--n-values", "4",
+      "--cap-exponent", "5"], 1, "5d28c4e09c6f8c37"),
 ]
 
 

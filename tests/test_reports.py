@@ -32,10 +32,10 @@ def refuse(*args, **kwargs):
     raise AssertionError("a plain report fell back to json.dumps")
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in PINNED_RUNS],
+@pytest.mark.parametrize("argv, code", [(argv, code) for argv, code, _ in PINNED_RUNS],
                          ids=[" ".join(argv) for argv, _, _ in PINNED_RUNS])
-def test_template_line_of_every_suite(argv, monkeypatch):
-    """One small grid per suite, the failing padic grid among them: every
+def test_template_line_of_every_suite(argv, code, monkeypatch):
+    """One small grid per suite, the failing padic grids among them: every
     report takes the template, and its line is json.dumps's."""
     got = grid_reports(argv)
     monkeypatch.setattr(reports, "json", types.SimpleNamespace(dumps=refuse))
@@ -44,8 +44,7 @@ def test_template_line_of_every_suite(argv, monkeypatch):
     assert lines == [dumps(r) for r in got]
     if argv[0] == "telescope":
         assert all(list(json.loads(line))[-1] == "stages" for line in lines)
-    if argv[0] == "padic" and "--n-values" in argv:
-        assert not all(r.passed for r in got)
+    assert all(r.passed for r in got) == (code == 0)
 
 
 @pytest.mark.parametrize("elapsed", [0, 1e-7, 0.0125, 1e13, 2.5e-4, 123.4567])
