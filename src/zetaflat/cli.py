@@ -17,7 +17,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import groupby, islice, takewhile
+from itertools import groupby
 from math import gcd, log10
 
 from .connected_sum import (
@@ -34,7 +34,6 @@ from .finite_padic import (
     SEKI_FIXTURES,
     antipode_duality_check,
     hoffman_duality_check,
-    hoffman_identity_check,
     hoffman_identity_sweep,
     load_thresholds,
     padic_duality_check,
@@ -50,9 +49,8 @@ from .index_algebra import (
     parse_index,
 )
 from .mzv_real import (
-    duality_sweep,
+    duality_columns,
     log2_discretization_check,
-    main_identity_check,
     main_sweep,
     riemann_sum,
     scaled_column,
@@ -278,50 +276,27 @@ def _convergence_report(k, lo, hi, defects, scales, started):
         "; ".join(decs), "; ".join(want), passed, time.perf_counter() - started)
 
 
-def _missing_fixture_report(check_id, k, n):
-    return make_report(check_id, {"k": format_index(k), "n": n},
-                       "no pinned threshold", "fixtures record",
-                       time.perf_counter())
-
-
 class Grid:
-    """A re-iterable grid of (callable, kwargs) tasks: each `iter()` builds
-    them afresh, in order, from `tasks()`, and `len()` is their number,
-    `size`, known without building any."""
+    """The reports of one suite's grid, in order: each `iter()` runs the
+    suite's sweep afresh through `reports()`, and `len()` is their number,
+    `size`, known before any check runs."""
 
-    __slots__ = ("size", "tasks")
+    __slots__ = ("size", "reports")
 
-    def __init__(self, size, tasks):
-        self.size, self.tasks = size, tasks
+    def __init__(self, size, reports):
+        self.size, self.reports = size, reports
 
     def __len__(self):
         return self.size
 
     def __iter__(self):
-        return self.tasks()
-
-
-class _Segment:
-    """The consecutive tasks of a re-iterable `tasks` from place `start`
-    on that `fns` serve: re-iterable, with no length, since only a pass
-    finds where they end.  Each pass builds `tasks` from its first task,
-    so a grid of many segments costs more; a verify grid has at most one."""
-
-    __slots__ = ("tasks", "start", "fns")
-
-    def __init__(self, tasks, start, fns):
-        self.tasks, self.start, self.fns = tasks, start, fns
-
-    def __iter__(self):
-        fns = self.fns
-        return takewhile(lambda task: task[0] in fns,
-                         islice(self.tasks, self.start, None))
+        return self.reports()
 
 
 def verify_tasks(args, caps):
-    """The ordered instance grid of one suite, a `Grid` of (callable,
-    kwargs) tasks.  Every usage error and cap raises here, before any task
-    is built; the tasks are built as a sweep reads them."""
+    """The ordered instance grid of one suite, a `Grid`.  Every usage
+    error and cap raises here, before any check runs; the sweep runs as
+    the grid is read."""
     suite = args.suite
     if suite not in ("transport", "duality-r", "log2"):
         if args.max_weight < 1:
@@ -332,18 +307,17 @@ def verify_tasks(args, caps):
         fences = range(1, args.max_upper + 1)
     if suite in ("main", "telescope", "hoffman-identity"):
         indices = indices_up_to_weight(args.max_weight)
-        check = {"main": main_identity_check, "telescope": _telescope_report,
-                 "hoffman-identity": hoffman_identity_check}[suite]
-        extra = {"method": args.method} if suite == "main" else {}
-        return Grid(len(indices) * len(fences), lambda: (
-            (check, {"k": k, "upper": n, **extra}) for k in indices for n in fences))
+        size = len(indices) * len(fences)
+        if suite == "main":
+            return Grid(size, lambda: main_sweep(indices, fences, args.method))
+        if suite == "telescope":
+            return Grid(size, lambda: telescope_sweep(indices, fences))
+        return Grid(size, lambda: hoffman_identity_sweep(indices, fences))
     if suite == "transport":
         return Grid(2 * len(fences), lambda: (
-            (_transport_sweep_report, {"which": which, "upper": n})
-            for n in fences for which in (1, 2)))
+            _transport_sweep_report(which, n) for n in fences for which in (1, 2)))
     if suite == "log2":
-        return Grid(len(fences), lambda: (
-            (log2_discretization_check, {"upper": n}) for n in fences))
+        return Grid(len(fences), lambda: map(log2_discretization_check, fences))
     if suite == "duality-r":
         lo, hi = parse_range(args.powers)
         if not 0 <= lo <= hi:
@@ -364,8 +338,12 @@ def verify_tasks(args, caps):
                     f"--powers {lo}..{hi} gives fewer than two fences above "
                     f"depth {depth} for index {format_index(k)}, so duality-r "
                     f"has nothing to compare")
-        return Grid(len(indices), lambda: (
-            (_duality_r_report, {"k": k, "lo": lo, "hi": hi}) for k in indices))
+
+        def reports():
+            column = duality_columns(indices)
+            for k in indices:
+                yield _duality_r_report(k, lo, hi, column=column)
+        return Grid(len(indices), reports)
     # duality-a, antipode, padic, seki
     lo, hi = parse_range(args.primes)
     caps.check_prime(hi)
@@ -373,11 +351,9 @@ def verify_tasks(args, caps):
              "antipode": antipode_duality_check,
              "padic": padic_duality_check,
              "seki": seki_lifting_check}[suite]
-    check_id = check.__name__.replace("_check", "").replace("_", "-")
-    # duality-a and antipode are the unlifted statements, exponent 1.
-    lifted = suite in ("padic", "seki")
-    n_values, fixtures = [1], None
-    if lifted:
+    # duality-a and antipode are the unlifted statements: no exponent.
+    n_values, fixtures = [None], None
+    if suite in ("padic", "seki"):
         n_values = parse_exponents(args.n_values)
         for n in n_values:
             caps.check_exponent(n)
@@ -385,47 +361,17 @@ def verify_tasks(args, caps):
                 fixtures = load_thresholds(
                     PADIC_FIXTURES if suite == "padic" else SEKI_FIXTURES)
     # One prime list for the grid; each exponent's floor filters it.  A
-    # (k, n) without a pinned threshold reports so, as one task.
+    # (k, n) without a pinned threshold reports so, as one instance; one
+    # whose floor leaves no prime has none.
     primes = primes_in(lo, hi)
-    cells = [(k, n, 3 if n == 1 else fixtures.get((k, n)))
+    cells = [(k, n, 3 if n in (None, 1) else fixtures.get((k, n)))
              for k in indices_up_to_weight(args.max_weight) for n in n_values]
     cells = [(k, n, floor if floor is None else
               bisect_left(primes, max(lo, floor))) for k, n, floor in cells]
-
-    def tasks():
-        for k, n, first in cells:
-            if first is None:
-                yield _missing_fixture_report, {"check_id": check_id, "k": k, "n": n}
-                continue
-            for p in primes[first:]:
-                yield check, {"k": k, "p": p, "n": n} if lifted else {"k": k, "p": p}
+    cells = [cell for cell in cells if cell[2] != len(primes)]
     return Grid(sum(1 if first is None else len(primes) - first
-                    for _, _, first in cells), tasks)
-
-
-def _sweeps(tasks):
-    """The report of each task of a re-iterable `tasks`, in order: each
-    segment of consecutive tasks that one sweep serves goes to it in one
-    call, as a re-iterable of its own, and shares its tables; any other
-    task is called alone.  One pass, a step behind the sweeps, finds
-    where each segment starts."""
-    # Built at each call from the module's names, as a tracer rebinds them.
-    sweeps = dict.fromkeys((hoffman_duality_check, antipode_duality_check,
-                            padic_duality_check, seki_lifting_check,
-                            _missing_fixture_report), residue_sweep)
-    sweeps.update({main_identity_check: main_sweep,
-                   hoffman_identity_check: hoffman_identity_sweep,
-                   _telescope_report: telescope_sweep,
-                   _duality_r_report: duality_sweep})
-    start = 0
-    for sweep, run in groupby(tasks, lambda task: sweeps.get(task[0])):
-        if sweep is not None:
-            fns = {fn for fn, served in sweeps.items() if served is sweep}
-            yield from sweep(_Segment(tasks, start, fns))
-        for fn, kwargs in run:
-            start += 1
-            if sweep is None:
-                yield fn(**kwargs)
+                    for _, _, first in cells),
+                lambda: residue_sweep(check, cells, primes))
 
 
 def cmd_verify(args):
@@ -437,24 +383,23 @@ def cmd_verify(args):
         raise ValueError(f"--jobs must be positive, got {args.jobs}")
     if args.method != "dp" and args.suite != "main":
         raise ValueError(f"--method {args.method} applies only to suite main")
-    tasks = verify_tasks(args, caps)
-    if not tasks:
+    grid = verify_tasks(args, caps)
+    if not grid:
         raise ValueError("the grid holds no instances to check")
     if args.csv:
-        # --csv leaves one duality-r task; its defects feed table and verdict.
-        (_, kwargs), = tasks
+        # --csv leaves one duality-r index; its defects feed table and verdict.
+        k, (lo, hi) = parse_index(args.index[0]), parse_range(args.powers)
         started = time.perf_counter()
-        defects, scales = _duality_r_defects(**kwargs)
-        report = _convergence_report(**kwargs, defects=defects, scales=scales,
-                                     started=started)
+        defects, scales = _duality_r_defects(k, lo, hi)
+        report = _convergence_report(k, lo, hi, defects, scales, started)
         print("N,diff_num,diff_den,diff_decimal")
-        for j, (d, s) in enumerate(zip(defects, scales), kwargs["lo"]):
+        for j, (d, s) in enumerate(zip(defects, scales), lo):
             g = gcd(d, s)
             print(f"{2 ** j},{d // g},{s // g},{ratio_str(d, s)}")
         good, total = int(report.passed), 1
     else:
         good = total = 0
-        for r in _sweeps(tasks):
+        for r in grid:
             print(r.json_line() if args.json else r.line())
             good += 1 if r.passed else 0
             total += 1

@@ -270,27 +270,27 @@ def telescope_report(name, upper, stages, started):
                         last, started, notes={"stages": len(stages)})
 
 
-def telescope_sweep(tasks):
-    """`telescope_report` of each (check, kwargs) task of `tasks`, in
-    order, swept in `budget_runs`, each run read once with tables of its
-    own (`_telescope_run`)."""
-    for run, forms, last in budget_runs(tasks, "telescope"):
-        yield from _telescope_run(run, forms, last)
+def telescope_sweep(indices, fences):
+    """`telescope_report` of each index of `indices` (distinct) at each
+    fence of `fences` (each >= 1), in that order, swept over `budget_runs`,
+    each run with tables of its own (`_telescope_run`)."""
+    top = max(fences, default=0)
+    for forms in budget_runs(indices, top, "telescope"):
+        yield from _telescope_run(forms, fences, top + 1)
 
 
-def _telescope_run(run, forms, last):
-    """The reports of a run of `telescope_sweep`, from one read of its
-    tasks, planned by `budget_runs` (forms, last).  One walk of the strict
-    chains' trie at the top fence + 1 gives every left layer and stage 0
+def _telescope_run(forms, fences, top):
+    """The reports of a run of `telescope_sweep`, {index: block form}
+    from `budget_runs`, at `fences`, each below `top`.  One walk of the
+    strict chains' trie at `top` gives every left layer and stage 0
     (endpoint values of zeta_chain(left) at v <= N do not depend on the
     fence).  A fence's first read walks the trie of the block forms at
     N + 1 for stage r and the trie of the right chains at N; each right
     layer, on the fence's binomial cofactors, at once gives the middle
     stage of every route of the run that ends in its suffix
     (`_middle_stages`), and is dropped.  Each stage is an integer pair; a
-    fence keeps each route's middle stages and last numerator until its
-    last task."""
-    top = max(last) + 1
+    fence keeps each route's middle stages and last numerator until the
+    run's last index."""
     lefts = {m: zeta_chain(m) for m in dict.fromkeys(
         k[:i] for k in forms for i in range(1, len(k) + 1))}
     rights = {s: reflect_chain(tilde_chain(s)) for s in dict.fromkeys(
@@ -305,22 +305,24 @@ def _telescope_run(run, forms, last):
             routes[k[j:]][0].append((place[k], len(k) - j - 1))
             routes[k[j:]][1].append(lefts[k[:j]])
     ks, tables = sorted(forms, key=place.get), {}
-    for i, (_, kwargs) in enumerate(run):
-        started = time.perf_counter()
-        k, n = kwargs["k"], kwargs["upper"]
-        if n not in tables:
-            binomials = _binomials(n)
-            table = [[*[None] * (len(m) - 1), sum(layer)] for m, layer in zip(
-                ks, compress(trie_walk(n + 1, blocks), block_mask))]
-            formed = [_middle_stages((layer, lcm_upto(n) ** sum(s)),
-                                     binomials, sides)
-                      for (s, (_, sides)), layer in zip(routes.items(), compress(
-                          trie_walk(n, right), right_mask))]
-            for (targets, _), values in zip(routes.values(), formed):
-                for (p, j), value in zip(targets, values):
-                    table[p][j] = value
-            tables[n] = table, lcm_upto(n + 1)
-        table, lam = tables[n] if last[n] > i else tables.pop(n)
-        (front, scale), (*middles, flat) = lefts[k], table[place[k]]
-        stages = [(sum(front[:n + 1]), scale), *middles, (flat, lam ** sum(k))]
-        yield telescope_report(format_index(k), n, stages, started)
+    *_, last = forms
+    for k in forms:
+        (front, scale), name = lefts[k], format_index(k)
+        for n in fences:
+            started = time.perf_counter()
+            if n not in tables:
+                binomials = _binomials(n)
+                table = [[*[None] * (len(m) - 1), sum(layer)] for m, layer in zip(
+                    ks, compress(trie_walk(n + 1, blocks), block_mask))]
+                formed = [_middle_stages((layer, lcm_upto(n) ** sum(s)),
+                                         binomials, sides)
+                          for (s, (_, sides)), layer in zip(routes.items(), compress(
+                              trie_walk(n, right), right_mask))]
+                for (targets, _), values in zip(routes.values(), formed):
+                    for (p, j), value in zip(targets, values):
+                        table[p][j] = value
+                tables[n] = table, lcm_upto(n + 1)
+            table, lam = tables.pop(n) if k is last else tables[n]
+            *middles, flat = table[place[k]]
+            stages = [(sum(front[:n + 1]), scale), *middles, (flat, lam ** sum(k))]
+            yield telescope_report(name, n, stages, started)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import time
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 from pathlib import Path
 
@@ -194,34 +193,29 @@ def hoffman_identity_check(k, upper):
     (-1)^(m_s - 1) binom(N, m_s) / (m_1^l_1 ... m_s^l_s).  Exact in Q.
     Both sides read the final layer of a dynamic program at fence N.
     """
-    task = (hoffman_identity_check, {"k": k, "upper": upper})
-    return next(hoffman_identity_sweep([task]))
+    return next(hoffman_identity_sweep([k], [upper]))
 
 
-def hoffman_identity_sweep(tasks):
-    """`hoffman_identity_check` for each (check, kwargs) task, in order;
-    each group of consecutive tasks of one index reads its fences from one
-    pair of dynamic programs at the group's top fence."""
-    for _, group in groupby(tasks, lambda task: task[1]["k"]):
-        group, front = list(group), None
-        top = max(kwargs["upper"] for _, kwargs in group)
-        for _, kwargs in group:
-            started = time.perf_counter()
-            k, upper = as_index(kwargs["k"]), kwargs["upper"]
-            if upper < 1:
-                raise ValueError("the fence must be at least 1")
-            if front is None:
-                # All factors are harmonic, so entries at v <= N are those
-                # of fence N.
-                front, scale = endpoint_values(hoffman_weak_chain(k), top)
-                dual_front, dual_scale = endpoint_values(
-                    hoffman_weak_chain(hoffman_dual(k)), top)
+def hoffman_identity_sweep(indices, fences):
+    """`hoffman_identity_check` of each index of `indices` at each fence of
+    `fences`, in that order; an index reads every fence from one pair of
+    dynamic programs at the top fence."""
+    if min(fences, default=1) < 1:
+        raise ValueError("the fence must be at least 1")
+    top = max(fences, default=0)
+    for k in map(as_index, indices):
+        started, name = time.perf_counter(), format_index(k)
+        # All factors are harmonic, so entries at v <= N are those of fence N.
+        front, scale = endpoint_values(hoffman_weak_chain(k), top)
+        dual_front, dual_scale = endpoint_values(
+            hoffman_weak_chain(hoffman_dual(k)), top)
+        for upper in fences:
             lhs = sum(front[:upper + 1]), scale
             rhs = sum((-1) ** (v - 1) * comb(upper, v) * dual_front[v]
                       for v in range(1, upper + 1)), dual_scale
-            yield ratio_report("hoffman-identity",
-                               {"k": format_index(k), "N": upper},
+            yield ratio_report("hoffman-identity", {"k": name, "N": upper},
                                lhs, rhs, started)
+            started = time.perf_counter()
 
 
 @lru_cache(maxsize=16)
@@ -290,19 +284,30 @@ def residue_lookups(weight, top):
     return zeta
 
 
-def residue_sweep(tasks):
-    """The report of each (check, kwargs) task of the four residue checks,
-    in order, read through `residue_lookups` at the largest weight and
-    exponent of a first pass over `tasks` (a list of them if `tasks` is an
-    iterator); a task without a prime is called as it is."""
-    tasks = list(tasks) if iter(tasks) is tasks else tasks
-    weight, top = 0, 1
-    for _, kw in tasks:
-        weight = max(weight, as_index(kw["k"]).weight)
-        top = max(top, kw.get("n", 1) if "p" in kw else 1)
+def residue_sweep(check, cells, primes):
+    """The reports of one residue `check` over a grid, in order: for each
+    cell (k, n, first), `check` at k, n and each prime of primes[first:],
+    or, where first is None, the report that no threshold is pinned; n is
+    None for the unlifted checks, which take no exponent.  Every check
+    reads through `residue_lookups` at the largest weight of the cells and
+    the largest exponent of those with primes."""
+    weight = max((as_index(k).weight for k, _, _ in cells), default=0)
+    top = max((n or 1 for _, n, first in cells if first is not None), default=1)
     zeta = residue_lookups(weight, top)
-    for check, kwargs in tasks:
-        yield check(**kwargs, zeta=zeta) if "p" in kwargs else check(**kwargs)
+    for k, n, first in cells:
+        if first is None:
+            yield _missing_fixture_report(check, k, n)
+            continue
+        exponent = () if n is None else (n,)
+        for p in primes[first:]:
+            yield check(k, p, *exponent, zeta=zeta)
+
+
+def _missing_fixture_report(check, k, n):
+    """The failing report of `check` at (k, n), which the fixtures lack."""
+    return make_report(check.__name__.removesuffix("_check").replace("_", "-"),
+                       {"k": format_index(k), "n": n}, "no pinned threshold",
+                       "fixtures record", time.perf_counter())
 
 
 def min_passing_prime(check, k, n, lo=3, hi=199, *, zeta=_zeta_residue):

@@ -17,10 +17,10 @@ and the convergence table for the duality defect.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, groupby, islice
+from itertools import accumulate, compress
 
 from ._kernels import harmonic_tree
 from .chainsum import (
@@ -127,37 +127,24 @@ TABLE_BITS = {"main": lambda nodes, w, n: nodes * w * n ** 2,
 FLAT_TABLE_BITS = 1 << 27
 
 
-def budget_runs(tasks, sweep):
-    """The runs of `tasks` within FLAT_TABLE_BITS by the estimate of
-    `sweep`, cut only where the index changes, as (tasks, forms, last):
-    the run's tasks, {index: block form} of its indices in the order of
-    their first tasks, and last[N], the place in the run of fence N's last
-    task.  A first pass holds one index's group of tasks at a time, and a
-    group that would take its run's tables past the budget opens a run,
-    read from a second iterator of `tasks` (a list of them if `tasks` is
-    an iterator) once the group after it is.  A run left unread is skipped."""
-    tasks = list(tasks) if iter(tasks) is tasks else tasks
-    reader, size, covered, tops, forms, last = iter(tasks), 0, set(), (0, 0), {}, {}
-
-    def read(size, forms, last):
-        run = islice(reader, size)
-        yield run, forms, last
-        deque(run, 0)
-
-    for k, group in groupby(tasks, lambda task: task[1]["k"]):
-        k, fences = tuple(k), [kwargs["upper"] for _, kwargs in group]
-        form = forms[k] if k in forms else flat_chain(k)
-        own = set(chain_trie([form])), (sum(k), max(fences))
-        grown = covered | own[0], tuple(map(max, tops, own[1]))
-        if TABLE_BITS[sweep](len(grown[0]), *grown[1]) > FLAT_TABLE_BITS and size:
-            yield from read(size, forms, last)
-            size, forms, last, grown = 0, {}, {}, own
-        covered, tops = grown
+def budget_runs(indices, top, sweep):
+    """The runs of `indices` (distinct) in order, each as {index: block
+    form} of its indices, whose tables at fences up to `top` stay within
+    FLAT_TABLE_BITS by the estimate of `sweep`: an index that would take
+    its run's tables past the budget opens the next run."""
+    forms, covered, weight = {}, set(), 0
+    for k in map(tuple, indices):
+        form = flat_chain(k)
+        own = set(chain_trie([form]))
+        if forms and TABLE_BITS[sweep](len(covered | own), max(weight, sum(k)),
+                                       top) > FLAT_TABLE_BITS:
+            yield forms
+            forms, covered, weight = {}, set(), 0
         forms[k] = form
-        last.update(zip(fences, range(size, size + len(fences))))
-        size += len(fences)
-    if size:
-        yield from read(size, forms, last)
+        covered |= own
+        weight = max(weight, sum(k))
+    if forms:
+        yield forms
 
 
 def zeta_flat(k, upper, method="dp") -> Fraction:
@@ -177,36 +164,38 @@ def main_identity_check(k, upper, method="dp"):
                        zeta_flat(k, upper, method), started)
 
 
-def main_sweep(tasks):
-    """`main_identity_check` for each (check, kwargs) task of `tasks`, in
-    order, swept in `budget_runs`, which holds one run's plan at a time;
-    a task of another method than "dp" is called alone.
-    An index reads its strict sums from one `scaled_column` to its run's
-    top fence.  A fence's first read in a run walks the trie of the run's
-    block forms; the fence keeps lcm(1..N) and a list of the run's
-    indices' values, read by place, until its last task.  The sides meet
-    as integers over their scales (`ratio_report`)."""
-    for run, forms, last in budget_runs(tasks, "main"):
-        top, column_of, tables = max(last), None, {}
+def main_sweep(indices, fences, method="dp"):
+    """`main_identity_check` of each index of `indices` (distinct) at each
+    fence of `fences`, in that order; a method other than "dp" calls each
+    check alone.  The dp sweep runs over `budget_runs`, one run at a time.
+    An index reads its strict sums from one `scaled_column` to the top
+    fence.  A fence's first read in a run walks the trie of the run's block
+    forms; the fence keeps lcm(1..N) and a list of the run's indices'
+    values, read by place, until the run's last index.  The sides meet as
+    integers over their scales (`ratio_report`)."""
+    if method != "dp":
+        for k in indices:
+            for upper in fences:
+                yield main_identity_check(k, upper, method)
+        return
+    top = max(fences, default=0)
+    for forms in budget_runs(indices, top, "main"):
         nodes, mask, places = _trie(forms)
-        for i, (check, kwargs) in enumerate(run):
-            if kwargs["method"] != "dp":
-                yield check(**kwargs)
-                continue
+        *_, last = forms
+        tables = {}
+        for k in forms:
             started = time.perf_counter()
-            upper = kwargs["upper"]
-            if kwargs["k"] != column_of:
-                column_of = kwargs["k"]
-                k = as_index(column_of)
-                name, place, weight = format_index(k), places[k], k.weight
-                column, scales = scaled_column(k, range(top + 1))
-            if upper not in tables:
-                tables[upper] = [sum(layer) for layer in compress(
-                    trie_walk(upper, nodes), mask)], lcm_upto(upper)
-            values, lam = tables[upper] if last[upper] > i else tables.pop(upper)
-            yield ratio_report("main", {"k": name, "N": upper},
-                               (column[upper], scales[upper]),
-                               (values[place], lam ** weight), started)
+            name, place, weight = format_index(k), places[k], sum(k)
+            column, scales = scaled_column(k, range(top + 1))
+            for upper in fences:
+                if upper not in tables:
+                    tables[upper] = [sum(layer) for layer in compress(
+                        trie_walk(upper, nodes), mask)], lcm_upto(upper)
+                values, lam = tables.pop(upper) if k is last else tables[upper]
+                yield ratio_report("main", {"k": name, "N": upper},
+                                   (column[upper], scales[upper]),
+                                   (values[place], lam ** weight), started)
+                started = time.perf_counter()
 
 
 def riemann_sum(k, upper, method="dp") -> Fraction:
@@ -297,22 +286,17 @@ def duality_convergence(k, uppers, method="dp") -> list:
             for n, d in zip(uppers, diffs)]
 
 
-def duality_sweep(tasks):
-    """The report of each (check, kwargs) task, in order.  The checks read
-    the `scaled_column`s of kwargs["k"] and its dual through a cache local
-    to the sweep, each computed once, at its first read, and sharing a
-    table of tree entries while a later column of its top exponent comes.
-    A first pass counts the later columns (of a list of the tasks if
-    `tasks` is an iterator)."""
-    tasks = list(tasks) if iter(tasks) is tasks else tasks
+def duality_columns(indices):
+    """The `column` of the duality-r checks of a grid of `indices`: a cache
+    of `scaled_column`s, each computed once, at its first read, and sharing
+    a table of tree entries while a later column of its top exponent, of
+    an index or its dual, is still to come."""
     later = Counter(max(k) for k in dict.fromkeys(
-        k for _, kwargs in tasks for k in (kwargs["k"], dual(kwargs["k"]))))
+        m for k in indices for m in (k, dual(k))))
     entries = {}
 
     @lru_cache(maxsize=None)
     def column(k, fences):
         later[max(k)] -= 1
         return scaled_column(k, fences, entries, later[max(k)] > 0)
-
-    for check, kwargs in tasks:
-        yield check(**kwargs, column=column)
+    return column

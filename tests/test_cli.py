@@ -392,9 +392,7 @@ def test_pinned_digests_under_budget_cuts(suite, budget, runs, monkeypatch,
     argv, code, digest = next(run for run in PINNED_RUNS if run[0] == [
         suite, "--max-weight", "3", "--max-upper", "6"])
     monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", budget)
-    args = cli.build_parser().parse_args(["verify", *argv])
-    tasks = cli.verify_tasks(args, cli.caps_of(args))
-    assert len(list(mzv_real.budget_runs(tasks, suite))) == runs
+    assert len(list(mzv_real.budget_runs(indices_up_to_weight(3), 6, suite))) == runs
     got, out, err = run_cli(["verify", *argv, "--json"], capsys)
     assert (got, output_digest(out + err)) == (code, digest)
 
@@ -471,7 +469,7 @@ def test_verify_builds_one_prime_list_per_grid(monkeypatch):
                  ["antipode", "--max-weight", "3", "--primes", "7..40"]):
         args = cli.build_parser().parse_args(["verify"] + argv)
         calls.clear()
-        tasks = cli.verify_tasks(args, cli.caps_of(args))
+        grid = cli.verify_tasks(args, cli.caps_of(args))
         assert len(calls) == 1, argv
         # the grid is what a prime list per pinned floor gives
         lo, hi = parse_range(args.primes)
@@ -482,8 +480,11 @@ def test_verify_builds_one_prime_list_per_grid(monkeypatch):
             for n in (parse_exponents(args.n_values)
                       if argv[0] in ("padic", "seki") else [None]):
                 floor = max(lo, 3 if n in (1, None) else fixtures[(k, n)])
-                want += [(k, p, n) for p in primes_in(floor, hi)]
-        assert [(kw["k"], kw["p"], kw.get("n")) for _, kw in tasks] == want
+                want += [(format_index(k), str(p), n and str(n))
+                         for p in primes_in(floor, hi)]
+        assert [(r.inputs["k"], r.inputs["p"], r.inputs.get("n"))
+                for r in grid] == want
+        assert len(calls) == 1, argv
 
 
 def test_every_public_name_resolves():
@@ -677,21 +678,20 @@ def test_partial_fixtures_report_missing_entries(suite, name, check_id,
 
 
 def test_verify_prints_each_report_as_it_returns(monkeypatch, capsys):
-    def broken(**kwargs):
+    def reports():
+        yield log2_discretization_check(upper=3)
         raise ValueError("the second check cannot run")
 
-    monkeypatch.setattr(cli, "verify_tasks", lambda args, caps: [
-        (log2_discretization_check, {"upper": 3}), (broken, {})])
+    monkeypatch.setattr(cli, "verify_tasks", lambda args, caps: cli.Grid(2, reports))
     code, out, err = run_cli(["verify", "log2"], capsys)
-    assert code == 2 and err.startswith("error: ")
+    assert code == 2 and err == "error: the second check cannot run\n"
     assert out.splitlines() == [log2_discretization_check(upper=3).line()]
-    # inside one sweep's run, too
+    # inside one sweep, too: its second fence cannot be walked
     k = Index((1, 2))
-    monkeypatch.setattr(cli, "verify_tasks", lambda args, caps: [
-        (main_identity_check, {"k": k, "upper": 4, "method": "dp"}),
-        (main_identity_check, {"k": k, "upper": 5, "method": "bogus"})])
+    monkeypatch.setattr(cli, "verify_tasks", lambda args, caps: cli.Grid(
+        2, lambda: mzv_real.main_sweep([k], [4, -1])))
     code, out, err = run_cli(["verify", "main"], capsys)
-    assert code == 2 and err == "error: unknown evaluation method 'bogus'\n"
+    assert code == 2 and err == "error: upper fence must be non-negative\n"
     assert out.splitlines() == [main_identity_check(k, 4).line()]
 
 

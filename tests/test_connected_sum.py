@@ -279,9 +279,10 @@ class _Table(list):
     """A list that can be watched through a weak reference."""
 
 
-def _telescope_tasks(weight, top):
-    return [(_telescope_report, {"k": k, "upper": n})
-            for k in indices_up_to_weight(weight) for n in range(1, top + 1)]
+def _telescope_grid(weight, top):
+    """(indices, fences, their product in grid order)."""
+    indices, fences = indices_up_to_weight(weight), range(1, top + 1)
+    return indices, fences, [(k, n) for k in indices for n in fences]
 
 
 def test_sweep_forms_each_right_side_once(monkeypatch):
@@ -306,20 +307,19 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
             watched.append((len(walks), weakref.ref(layer := _Table(layer))))
             yield layer
 
-    tasks = _telescope_tasks(4, 8)
-    alone = [fn(**kwargs) for fn, kwargs in tasks]
-    last = {kwargs["upper"]: i for i, (_, kwargs) in enumerate(tasks)}
-    first = {kwargs["upper"]: i for i, (_, kwargs) in reversed(list(enumerate(tasks)))}
+    indices, fences, grid = _telescope_grid(4, 8)
+    alone = [_telescope_report(k, n) for k, n in grid]
+    last = {n: i for i, (_, n) in enumerate(grid)}
+    first = {n: i for i, (_, n) in reversed(list(enumerate(grid)))}
     monkeypatch.setattr(module, "tilde_chain", tilde_chain)
     monkeypatch.setattr(module, "trie_walk", trie_walk)
-    sweep = telescope_sweep(tasks)
+    sweep = telescope_sweep(indices, fences)
     for i, (want, report) in enumerate(zip(alone, sweep, strict=True)):
         assert report.passed
         assert (report.lhs, report.rhs) == (want.lhs, want.rhs)
         assert all(ref() is None for walk, ref in watched if walk > 1)
         assert sorted(sweep.gi_yieldfrom.gi_frame.f_locals["tables"]) == sorted(
             n for n, j in last.items() if first[n] <= i < j)
-    indices = indices_up_to_weight(4)
     suffixes = {k[j:] for k in indices for j in range(1, len(k))}
     assert tildes == Counter(dict.fromkeys(suffixes, 1))
     forms = chain_trie(map(flat_chain, indices))
@@ -331,7 +331,7 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
 
 def test_sweep_past_the_table_budget(monkeypatch):
     """Under a budget of 400 bits, `budget_runs` cuts a telescope grid of
-    weight 3 and fences 1..4 only where the index changes: the indices of
+    weight 3 and fences 1..4 between indices: the indices of
     weight <= 2 in one run (3 nodes * 2^2 * 5^2 = 300 bits), and each index
     of weight 3 in a run of its own, past the budget alone (3 * 3^2 * 25 =
     675).  Each run walks the trie of its strict chains once, at its top
@@ -340,18 +340,17 @@ def test_sweep_past_the_table_budget(monkeypatch):
     `telescope`, and every report equals its route telescoped alone."""
     module = sys.modules["zetaflat.connected_sum"]
     mzv_real = sys.modules["zetaflat.mzv_real"]
-    tasks = _telescope_tasks(3, 4)
-    alone = [fn(**kwargs) for fn, kwargs in tasks]
+    indices, fences, grid = _telescope_grid(3, 4)
+    alone = [_telescope_report(k, n) for k, n in grid]
     monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 400)
-    runs = [list(dict.fromkeys(kwargs["k"] for _, kwargs in run))
-            for run, *_ in mzv_real.budget_runs(tasks, "telescope")]
+    runs = [list(forms) for forms in mzv_real.budget_runs(indices, 4, "telescope")]
     assert runs == [[(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
     walks = []
     real = module.trie_walk
     monkeypatch.setattr(module, "trie_walk", lambda upper, nodes:
                         walks.append((upper, nodes)) or real(upper, nodes))
     monkeypatch.setattr(module, "telescope", None)
-    for want, report in zip(alone, telescope_sweep(tasks), strict=True):
+    for want, report in zip(alone, telescope_sweep(indices, fences), strict=True):
         assert report.passed and (report.lhs, report.rhs) == (want.lhs, want.rhs)
     want = []
     for run in runs:
@@ -382,19 +381,6 @@ def test_one_shifted_right_layer_fails_its_routes(monkeypatch, capsys):
     failed = [r for r in map(json.loads, out.splitlines()) if not r["pass"]]
     assert [(r["inputs"], r["rhs"]) for r in failed] == [
         ({"k": k, "N": "4"}, "stages diverge") for k in ("1,1", "1,1,1", "2,1")]
-
-
-def test_sweep_reads_a_route_again():
-    """A route read twice, or again after other routes in any order, gets
-    the report of the route telescoped alone each time."""
-    twice = [(_telescope_report, {"k": Index((2, 1)), "upper": 3})] * 2
-    shuffled = random.Random(5).choices(_telescope_tasks(3, 4), k=40)
-    for tasks in (twice, shuffled):
-        for (fn, kwargs), report in zip(tasks, telescope_sweep(tasks),
-                                        strict=True):
-            want = fn(**kwargs)
-            assert (report.lhs, report.rhs, report.passed) == (
-                want.lhs, want.rhs, True)
 
 
 def test_sweep_builds_no_fraction(monkeypatch, capsys):

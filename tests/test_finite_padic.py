@@ -211,9 +211,7 @@ def test_hoffman_identity_against_enumeration():
         assert [(r.lhs, r.rhs) for r in
                 (hoffman_identity_check(k, n) for n in range(1, 9))] == want, k
         for top in (8, 11):
-            tasks = [(hoffman_identity_check, {"k": k, "upper": n})
-                     for n in range(1, top + 1)]
-            reports = list(hoffman_identity_sweep(tasks))[:8]
+            reports = list(hoffman_identity_sweep([k], range(1, top + 1)))[:8]
             assert [(r.lhs, r.rhs) for r in reports] == want, (k, top)
 
 
@@ -427,29 +425,33 @@ def test_sweep_walks_each_prime_once(suite, cold_tables, monkeypatch, capsys):
     assert info.hits == info.misses == info.currsize == 0
 
 
-def test_sweep_lookups_are_the_residues_of_single_checks(cold_tables):
-    """Every residue a sweep's checks read, over a run that mixes exponents
-    1, 2 and 3, the unlifted checks and several primes, is the residue of
-    the single-check lookup, in [0, p^n); so is every index up to weight
-    4 + n - 1 read through `residue_lookups` at (p, n)."""
+def test_sweep_lookups_are_the_residues_of_single_checks(cold_tables, monkeypatch):
+    """Every residue a sweep's checks read, over sweeps of each check that
+    mix exponents 1 and 2 in one sweep, go up to 3, take the unlifted
+    checks and several primes, is the residue of the single-check lookup,
+    in [0, p^n); so is every index up to weight 4 + n - 1 read through
+    `residue_lookups` at (p, n)."""
     reads = []
+    real = finite_padic.residue_lookups
 
-    def spy(check):
-        def run(*, zeta, **kwargs):
-            def read(m, p, n):
-                reads.append((m, p, n, zeta(m, p, n)))
-                return reads[-1][-1]
-            return check(**kwargs, zeta=read)
-        return run
+    def lookups(weight, top):
+        zeta = real(weight, top)
 
-    tasks = [(spy(check), {"k": k, "p": p, "n": n} if n else {"k": k, "p": p})
-             for k in [Index((2, 1)), Index((1, 1, 2)), Index((3,))]
-             for check, n in ((padic_duality_check, 3), (seki_lifting_check, 1),
-                              (hoffman_duality_check, 0),
-                              (seki_lifting_check, 2),
-                              (antipode_duality_check, 0))
-             for p in (5, 3, 11)]
-    assert all(r.passed for r in finite_padic.residue_sweep(tasks))
+        def read(m, p, n):
+            reads.append((m, p, n, zeta(m, p, n)))
+            return reads[-1][-1]
+        return read
+
+    monkeypatch.setattr(finite_padic, "residue_lookups", lookups)
+    ks = [Index((2, 1)), Index((1, 1, 2)), Index((3,))]
+    for check, exponents in ((padic_duality_check, [3]),
+                             (seki_lifting_check, [1, 2]),
+                             (hoffman_duality_check, [None]),
+                             (antipode_duality_check, [None])):
+        cells = [(k, n, 0) for k in ks for n in exponents]
+        assert all(r.passed for r in finite_padic.residue_sweep(
+            check, cells, [5, 3, 11]))
+    monkeypatch.undo()
     assert {(p, n) for _, p, n, _ in reads} == {
         (p, n) for p in (3, 5, 11) for n in (1, 2, 3)}
     for m, p, n, value in reads:
@@ -502,3 +504,4 @@ def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
     k = (1,) * 9 + (2,) * 6
     assert zeta_mod(k, 31, 2).value == eval_dp_mod(zeta_chain(k), 31, 31 ** 2).value
     assert walks == [(31, 2, tuple(chain_trie([zeta_chain(k)])))]
+

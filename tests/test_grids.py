@@ -1,16 +1,16 @@
 """Contract of the verify grid, and the memory of a sweep that streams it.
 
-`cli.verify_tasks` returns a `cli.Grid`, not a list.  Over argv drawn for
-every suite (padic and seki with fixtures that lack entries or are
-missing, several --n-values, usage errors and caps), a grid's `len()`
-is its task count, two passes give equal tasks, and every usage error
-and cap raises from `verify_tasks` itself, before any task is built, so
-the CLI exits 2 or 3 with nothing printed.  Two literal grids pin the
-tasks of main and padic, in order.  A sweep of each suite builds its
-grid at most three times, and each public sweep takes a one-shot
-iterator of tasks as well as a list.  Under the default caps the first reports
-come with a traced peak of a few megabytes; a list of the grid's
-million tasks took about 300 MB before the first one.
+`cli.verify_tasks` returns a `cli.Grid` of reports, not a list of tasks.
+Over argv drawn for every suite (padic and seki with fixtures that lack
+entries or are missing, several --n-values, usage errors and caps), a
+grid's `len()` is its number of reports, each a `VerificationReport`, so
+no suite builds a (callable, kwargs) task; and every usage error and cap
+raises from `verify_tasks` itself, before any check runs, so the CLI exits
+2 or 3 with nothing printed.  Two literal grids pin the inputs of main's
+and padic's reports, in order.  Each pass over a grid runs its sweep
+once, over the grid's axes.  Under the default caps the first reports
+come with a traced peak of a few megabytes; a list of the grid's million
+tasks took about 300 MB before the first one.
 """
 
 import io
@@ -24,14 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaflat import cli, mzv_real
-from zetaflat.cli import _missing_fixture_report
-from zetaflat.connected_sum import telescope_sweep
+from zetaflat import cli
 from zetaflat.errors import CapExceededError
-from zetaflat.finite_padic import (
-    PADIC_FIXTURES, SEKI_FIXTURES, hoffman_identity_sweep, padic_duality_check,
-    residue_sweep)
-from zetaflat.mzv_real import duality_sweep, main_identity_check, main_sweep
+from zetaflat.finite_padic import PADIC_FIXTURES, SEKI_FIXTURES
+from zetaflat.reports import VerificationReport
 
 
 def grid_of(argv):
@@ -48,27 +44,29 @@ def fixture_dirs(tmp_path_factory):
     return {"partial": str(partial), "missing": str(tmp_path_factory.mktemp("none"))}
 
 
+def inputs_of(grid):
+    return [(r.check_id, r.inputs) for r in grid]
+
+
 def test_main_grid_is_pinned():
     grid = grid_of(["main", "--max-weight", "2", "--max-upper", "2",
                     "--method", "enum"])
-    assert len(grid) == 6 and list(grid) == [
-        (main_identity_check, {"k": k, "upper": n, "method": "enum"})
-        for k in ((1,), (1, 1), (2,)) for n in (1, 2)]
+    assert len(grid) == 6 and inputs_of(grid) == [
+        ("main", {"k": k, "N": n}) for k in ("1", "1,1", "2") for n in "12"]
 
 
 def test_padic_grid_is_pinned(fixture_dirs):
     with mock.patch.dict(os.environ, ZETAFLAT_FIXTURES_DIR=fixture_dirs["partial"]):
         grid = grid_of(["padic", "--max-weight", "2", "--primes", "2..7",
                         "--n-values", "2,1"])
-    check = padic_duality_check
-    missing = {"check_id": "padic-duality", "n": 2}
-    assert len(grid) == 13 and list(grid) == [
-        *[(check, {"k": (1,), "p": p, "n": 1}) for p in (3, 5, 7)],
-        *[(check, {"k": (1,), "p": p, "n": 2}) for p in (5, 7)],
-        *[(check, {"k": (1, 1), "p": p, "n": 1}) for p in (3, 5, 7)],
-        (_missing_fixture_report, {**missing, "k": (1, 1)}),
-        *[(check, {"k": (2,), "p": p, "n": 1}) for p in (3, 5, 7)],
-        (_missing_fixture_report, {**missing, "k": (2,)})]
+
+    def run(k, n, primes):
+        return [("padic-duality", {"k": k, "p": p, "n": n}) for p in primes]
+
+    missing = [("padic-duality", {"k": k, "n": "2"}) for k in ("1,1", "2")]
+    assert len(grid) == 13 and inputs_of(grid) == [
+        *run("1", "1", "357"), *run("1", "2", "57"),
+        *run("1,1", "1", "357"), missing[0], *run("2", "1", "357"), missing[1]]
 
 
 @st.composite
@@ -110,13 +108,16 @@ def test_grid_contract(fixture_dirs, case):
             code, out, err = run_cli(argv)
             assert code in (2, 3) and out == "" and err, (argv, code)
             return
-        tasks = list(grid)
-        assert len(grid) == len(tasks) == sum(1 for _ in grid)
-        assert list(grid) == tasks
-        if len(grid) <= 60:  # the CLI runs it to its end
+        reports = list(grid)
+        assert len(grid) == len(reports)
+        assert all(type(r) is VerificationReport for r in reports)
+        if len(grid) <= 60:  # the CLI prints the same reports
             code, out, err = run_cli(argv)
-            assert code == (2 if not tasks else 0 if "FAIL" not in out else 1), (
-                argv, err)
+            good = sum(r.passed for r in reports)
+            summary = f"{'PASS' if good == len(reports) else 'FAIL'} {good}/{len(reports)}"
+            assert code == (2 if not reports else 0 if good == len(reports) else 1)
+            assert out == "".join(f"{r.line()}\n" for r in reports) + (
+                f"{summary}\n" if reports else ""), (argv, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,13 +132,26 @@ def test_grid_contract(fixture_dirs, case):
     ["transport", "--max-upper", "4"],
     ["log2", "--max-upper", "4"],
 ], ids=lambda argv: argv[0])
-def test_a_sweep_builds_its_grid_at_most_three_times(argv):
+def test_a_sweep_builds_its_grid_at_most_three_times(argv, monkeypatch):
+    """Each pass over a grid builds it once: one call of the suite's sweep
+    over the grid's axes (transport and log2 call their check per
+    instance); two passes give equal reports, as many as `len()` says."""
+    sweep = SWEEPS.get(argv[0])
+    calls = []
+    if sweep:
+        real = getattr(cli, sweep)
+        monkeypatch.setattr(cli, sweep, lambda *args: calls.append(args) or real(*args))
     grid = grid_of(argv)
-    built = []
-    tasks = grid.tasks
-    grid.tasks = lambda: (built.append(task) or task for task in tasks())
-    assert all(r.passed for r in cli._sweeps(grid))
-    assert len(grid) <= len(built) <= 3 * len(grid)
+    first = [key(r) for r in grid]
+    assert len(first) == len(grid) and all(r["pass"] for r in first)
+    assert [key(r) for r in grid] == first
+    assert len(calls) == (2 if sweep else 0)
+
+
+SWEEPS = {"main": "main_sweep", "telescope": "telescope_sweep",
+          "hoffman-identity": "hoffman_identity_sweep", "padic": "residue_sweep",
+          "seki": "residue_sweep", "duality-a": "residue_sweep",
+          "duality-r": "duality_columns"}
 
 
 def key(report):
@@ -146,35 +160,13 @@ def key(report):
     return out
 
 
-@pytest.mark.parametrize("sweep,argv", [
-    (main_sweep, ["main", "--max-weight", "3", "--max-upper", "6"]),
-    (telescope_sweep, ["telescope", "--max-weight", "3", "--max-upper", "4"]),
-    (hoffman_identity_sweep, ["hoffman-identity", "--max-weight", "3",
-                              "--max-upper", "5"]),
-    (residue_sweep, ["padic", "--max-weight", "3", "--primes", "3..23",
-                     "--n-values", "1,2"]),
-    (duality_sweep, ["duality-r", "--powers", "3..6"]),
-], ids=lambda arg: arg[0] if isinstance(arg, list) else None)
-def test_a_sweep_takes_an_iterator_of_tasks(monkeypatch, sweep, argv):
-    """A sweep handed a one-shot iterator gives the reports it gives for a
-    list of the same tasks, main's and telescope's cut into several runs
-    by a small budget, so each run's plan meets that run's tasks."""
-    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 300)
-    tasks = list(grid_of(argv))
-    if sweep in (main_sweep, telescope_sweep):
-        assert len(list(mzv_real.budget_runs(tasks, argv[0]))) > 1
-    want = [key(r) for r in sweep(tasks)]
-    assert len(want) == len(tasks)
-    assert [key(r) for r in sweep(iter(tasks))] == want
-
-
 def test_default_caps_stream_their_first_reports():
     """The first 50 reports of `verify main` at the default caps (weight 8,
     fences to 4096: 1,044,480 checks), and nothing further."""
     tracemalloc.start()
     try:
         grid = grid_of(["main", "--max-weight", "8", "--max-upper", "4096"])
-        sweep = cli._sweeps(grid)
+        sweep = iter(grid)
         reports = list(islice(sweep, 50))
         sweep.close()
         _, peak = tracemalloc.get_traced_memory()

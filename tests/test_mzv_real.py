@@ -41,7 +41,7 @@ from zetaflat.mzv_real import (
     ConvergenceRow,
     discrepancy,
     duality_convergence,
-    duality_sweep,
+    duality_columns,
     log2_discretization_check,
     main_identity_check,
     main_sweep,
@@ -385,13 +385,12 @@ def read_columns(k, fences, *, column):
        leaf=st.sampled_from([1, 3, _kernels.LEAF_STEPS]))
 def test_duality_sweep_shared_entries_equal_columns_alone(ks, fences, leaf):
     """Differential test of the table of product-tree entries that
-    `duality_sweep` shares among its columns: 1-4 admissible indices of
+    `duality_columns` shares among its columns: 1-4 admissible indices of
     weight <= 5 (top exponents 2-5, repeats, any order), every gap on the
     tree, and leaves of 1, 3 or LEAF_STEPS steps.  Every column the sweep
     yields equals the column computed alone and, at fences <= 12,
-    enumeration; each of two sweeps starts from an empty table."""
+    enumeration; each of two grids starts from an empty table."""
     fences = tuple(sorted(fences))
-    tasks = [(read_columns, {"k": k, "fences": fences}) for k in ks]
     tables = []
     real = mzv_real.harmonic_tree
     with pytest.MonkeyPatch.context() as patch:
@@ -402,7 +401,8 @@ def test_duality_sweep_shared_entries_equal_columns_alone(ks, fences, leaf):
                       or real(exps, *rest))
         for _ in range(2):
             tables.clear()
-            swept = list(duality_sweep(tasks))
+            column = duality_columns(ks)
+            swept = [read_columns(k, fences, column=column) for k in ks]
             assert tables[:1] in ([], [0])
             for k, columns in zip(ks, swept):
                 for index, (values, scales) in zip((k, dual(k)), columns):
@@ -473,10 +473,9 @@ def test_flat_walk_matches_oracles(flat_walks):
     from one walk of the trie of all their block forms per fence, equals
     enumeration; zeta_flat, one dynamic program over a block form, keeps
     its messages for an empty index and a negative fence."""
-    tasks = [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
-             for k in indices_up_to_weight(6) for n in range(17)]
-    for (_, kwargs), report in zip(tasks, main_sweep(tasks), strict=True):
-        k, n = kwargs["k"], kwargs["upper"]
+    indices = indices_up_to_weight(6)
+    grid = [(k, n) for k in indices for n in range(17)]
+    for (k, n), report in zip(grid, main_sweep(indices, range(17)), strict=True):
         assert report.rhs == fraction_str(eval_enum(flat_chain(k), n)), (k, n)
     assert [n for n, nodes in flat_walks] == list(range(17))
     assert all(len(nodes) == 63 for _, nodes in flat_walks)
@@ -506,44 +505,44 @@ def _key(report):
 
 def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
     """Under a budget of 300 bits, `budget_runs` cuts main's grid of weight
-    3 and fences 1..6 only where the index changes: the indices of weight
-    <= 2 in one run (3 nodes * 2 * 6^2 = 216 bits), and each index of
-    weight 3 in a run of its own, past the budget alone (3 * 3 * 36 = 324).
-    Each run walks the trie of its own block forms once per fence, a
-    one-index run too, and holds a fence's table, one value per index of
-    the run, read in place, from its first read to its last read in the
-    run only: a one-index run holds none across fences.  Every report
-    equals its check called alone."""
-    tasks = [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
-             for k in indices_up_to_weight(3) for n in range(1, 7)]
-    alone = [_key(fn(**kwargs)) for fn, kwargs in tasks]
+    3 and fences 1..6 between indices: the indices of weight <= 2 in one
+    run (3 nodes * 2 * 6^2 = 216 bits), and each index of weight 3 in a run
+    of its own, past the budget alone (3 * 3 * 36 = 324).  Each run walks
+    the trie of its own block forms once per fence, a one-index run too,
+    and holds a fence's table, one value per index of the run, read in
+    place, from the fence's first read until the run's last index reads
+    it: a one-index run holds none across fences.  Every report equals its
+    check called alone."""
+    indices, fences = indices_up_to_weight(3), range(1, 7)
+    grid = [(k, n) for k in indices for n in fences]
+    alone = [_key(main_identity_check(k, n)) for k, n in grid]
     flat_walks.clear()
     monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", 300)
-    runs = [[kwargs["k"] for _, kwargs in run]
-            for run, *_ in mzv_real.budget_runs(tasks, "main")]
-    assert sum(runs, []) == [kwargs["k"] for _, kwargs in tasks]
-    assert [list(dict.fromkeys(run)) for run in runs] == [
-        [(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
-    run_of = [r for r, run in enumerate(runs) for _ in run]
-    reads = {}  # (run, fence) -> places of its first and last read
-    for i, (_, kwargs) in enumerate(tasks):
-        place = run_of[i], kwargs["upper"]
-        reads[place] = reads.get(place, (i,))[0], i
-    sweep = mzv_real.main_sweep(tasks)
+    runs = [list(forms) for forms in mzv_real.budget_runs(indices, 6, "main")]
+    assert runs == [[(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
+    run_of = {k: r for r, run in enumerate(runs) for k in run}
+    sweep = mzv_real.main_sweep(indices, fences)
     for i, report in enumerate(sweep):
         assert _key(report) == alone[i]
+        (k, upper), run = grid[i], runs[run_of[grid[i][0]]]
         frame = sweep.gi_frame.f_locals
-        tables, k, upper = frame["tables"], tasks[i][1]["k"], tasks[i][1]["upper"]
-        assert sorted(tables) == [n for (r, n), (first, end) in sorted(reads.items())
-                                  if r == run_of[i] and first <= i < end]
-        assert all(len(values) == len(set(runs[run_of[i]]))
-                   for values, _ in tables.values())
+        tables = frame["tables"]
+        if len(run) == 1:
+            held = []
+        elif k == run[0]:  # built up to this fence
+            held = [n for n in fences if n <= upper]
+        elif k == run[-1]:  # dropped up to this fence
+            held = [n for n in fences if n > upper]
+        else:
+            held = list(fences)
+        assert sorted(tables) == held
+        assert all(len(values) == len(run) for values, _ in tables.values())
         if upper in tables:  # the value just read stays in place
             values, lam = tables[upper]
             assert Fraction(values[frame["places"][k]], lam ** sum(k)) == (
                 zeta_flat(k, upper))
-    assert flat_walks == [(n, chain_trie(map(flat_chain, set(run))))
-                          for run in runs for n in range(1, 7)]
+    assert flat_walks == [(n, chain_trie(map(flat_chain, run)))
+                          for run in runs for n in fences]
 
 
 def test_sweep_computes_each_lcm_once(monkeypatch, capsys):

@@ -25,7 +25,7 @@ def dumps(report):
 
 def grid_reports(argv):
     args = cli.build_parser().parse_args(["verify", *argv])
-    return list(cli._sweeps(cli.verify_tasks(args, cli.caps_of(args))))
+    return list(cli.verify_tasks(args, cli.caps_of(args)))
 
 
 def refuse(*args, **kwargs):

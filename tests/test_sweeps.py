@@ -1,24 +1,24 @@
 """Property tests of the sweeps and the trie walk they share.
 
 A small grid of each suite that a sweep serves is cut at random into
-contiguous pieces, cuts inside one index's run included, under a table
-budget drawn small enough that the sweeps of main and telescope cut
-their own runs too.  The reports of the pieces joined, the reports of
-one uncut sweep and the report of each task's check called alone are
-equal, all but their elapsed time.
+consecutive slices of its indices (of its cells for the residue suites),
+under a table budget drawn small enough that the sweeps of main and
+telescope cut their own runs too.  The reports of the slices' sweeps
+joined, the reports of the uncut grid and the report of each check called
+alone are equal, all but their elapsed time.
 
-A differential fuzz draws a few indices, a fence, a prime power and a
-read order with repeats and gaps.  Every node of the three tries that
+A differential fuzz draws a few indices in any order, fences, a prime
+power and a residue check.  Every node of the three tries that
 `chainsum.trie_walk` walks (strict prefixes exactly and mod p^n, reflected
 block forms exactly) equals the dynamic program over its own chain, and
-enumeration at small fences; and each sweep, fed that read order, gives
-the report of each check called alone; fed no task, it yields nothing.
-A run of the residue sweep that mixes exponents 1, 2 and 3 over several
-primes, with reports of missing fixtures among its tasks, does the same.
+enumeration at small fences; each sweep over those axes gives the report
+of each check called alone; over no index or no fence, it yields nothing.
+A residue sweep whose cells mix exponents 1, 2 and 3 over several primes,
+with reports of missing fixtures among them, does the same.
 """
 
-import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from unittest import mock
 
@@ -41,19 +41,23 @@ from zetaflat.chainsum import (
 )
 from zetaflat.connected_sum import telescope_sweep
 from zetaflat.finite_padic import (
+    PADIC_FIXTURES,
+    SEKI_FIXTURES,
+    _missing_fixture_report,
     _walk,
     antipode_duality_check,
     hoffman_duality_check,
     hoffman_identity_check,
     hoffman_identity_sweep,
+    load_thresholds,
     padic_duality_check,
     primes_in,
     residue_sweep,
     seki_lifting_check,
 )
-from zetaflat.index_algebra import Index, indices_up_to_weight
+from zetaflat.index_algebra import Index, indices_up_to_weight, parse_index
 from zetaflat.mzv_real import (
-    duality_sweep,
+    duality_columns,
     main_identity_check,
     main_sweep,
     zeta_trunc,
@@ -61,15 +65,68 @@ from zetaflat.mzv_real import (
 
 SUITES = ("main", "hoffman-identity", "telescope", "padic", "seki",
           "duality-a", "antipode", "duality-r")
+RESIDUE_SUITES = {"padic": padic_duality_check, "seki": seki_lifting_check,
+                  "duality-a": hoffman_duality_check,
+                  "antipode": antipode_duality_check}
 
 # Admissible indices of depth <= 3 for duality-r: dual pairs, a self-dual
 # index, and (1,3,2), whose defect rises at N = 8.
 DUALITY_INDICES = ("3", "1,2", "2,2", "1,1,2", "4", "1,3,2", "2,1,3")
 
 
+def duality_reports(ks, lo, hi):
+    column = duality_columns(ks)
+    return [cli._duality_r_report(k, lo, hi, column=column) for k in ks]
+
+
+def alone_reports(check, cell, primes):
+    """The reports of one residue cell (k, n, first), each check called
+    alone."""
+    k, n, first = cell
+    if first is None:
+        return [_missing_fixture_report(check, k, n)]
+    return [check(k, p, *([] if n is None else [n])) for p in primes[first:]]
+
+
+def grid_axes(args):
+    """(items, sweep, alone) of a verify grid: its indices (its cells for
+    the residue suites), the reports of a sweep over a slice of them, and
+    the reports of one item's checks called alone, in grid order."""
+    suite, fences = args.suite, range(1, args.max_upper + 1)
+    if suite == "duality-r":
+        lo, hi = map(int, args.powers.split(".."))
+        ks = [parse_index(t) for t in args.index or ("3", "1,2", "2,2", "1,1,2")]
+        return (ks, lambda part: duality_reports(part, lo, hi),
+                lambda k: [cli._duality_r_report(k, lo, hi)])
+    ks = indices_up_to_weight(args.max_weight)
+    if suite == "main":
+        return (ks, lambda part: main_sweep(part, fences, args.method),
+                lambda k: [main_identity_check(k, n, args.method) for n in fences])
+    if suite == "hoffman-identity":
+        return (ks, lambda part: hoffman_identity_sweep(part, fences),
+                lambda k: [hoffman_identity_check(k, n) for n in fences])
+    if suite == "telescope":
+        return (ks, lambda part: telescope_sweep(part, fences),
+                lambda k: [cli._telescope_report(k, n) for n in fences])
+    check, lo = RESIDUE_SUITES[suite], int(args.primes.partition("..")[0])
+    primes = primes_in(lo, int(args.primes.partition("..")[2]))
+    exponents = [None]
+    if suite in ("padic", "seki"):
+        exponents = sorted(set(map(int, args.n_values.split(","))))
+        fixtures = load_thresholds(PADIC_FIXTURES if suite == "padic"
+                                   else SEKI_FIXTURES)
+    cells = [(k, n, bisect_left(primes, max(lo, 3 if n in (None, 1)
+                                                else fixtures[(k, n)])))
+             for k in ks for n in exponents]
+    return ([cell for cell in cells if cell[2] < len(primes)],
+            lambda part: residue_sweep(check, part, primes),
+            lambda cell: alone_reports(check, cell, primes))
+
+
 @st.composite
 def cut_grids(draw):
-    """(tasks, cut points) of a small verify grid."""
+    """(args, cut points into the grid's items, table budget) of a small
+    verify grid."""
     suite = draw(st.sampled_from(SUITES))
     argv = ["verify", suite, f"--max-weight={draw(st.integers(1, 3))}"]
     if suite == "duality-r":
@@ -90,13 +147,13 @@ def cut_grids(draw):
                                       max_size=3, unique=True))
             argv.append("--n-values=" + ",".join(map(str, exponents)))
     args = cli.build_parser().parse_args(argv)
-    tasks = list(cli.verify_tasks(args, cli.caps_of(args)))
-    assume(tasks)
-    cuts = draw(st.lists(st.integers(1, len(tasks)), max_size=6))
+    items = grid_axes(args)[0]
+    assume(items)
+    cuts = draw(st.lists(st.integers(1, len(items)), max_size=6))
     # main's and telescope's sweeps cut their runs within the table budget
     # too: a grid here holds at most 3087 bits.
     budget = draw(st.integers(0, 4000) | st.just(mzv_real.FLAT_TABLE_BITS))
-    return tasks, sorted({0, len(tasks), *cuts}), budget
+    return args, sorted({0, len(items), *cuts}), budget
 
 
 def key(report):
@@ -108,13 +165,13 @@ def key(report):
 @settings(max_examples=100, deadline=None)
 @given(cut_grids())
 def test_reports_do_not_depend_on_the_cuts(grid):
-    tasks, cuts, budget = grid
+    args, cuts, budget = grid
+    items, sweep, alone = grid_axes(args)
     with mock.patch.object(mzv_real, "FLAT_TABLE_BITS", budget):
         joined = [key(r) for a, b in zip(cuts, cuts[1:])
-                  for r in cli._sweeps(tasks[a:b])]
-        uncut = [key(r) for r in cli._sweeps(tasks)]
-    alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
-    assert joined == uncut == alone
+                  for r in sweep(items[a:b])]
+        uncut = [key(r) for r in cli.verify_tasks(args, cli.caps_of(args))]
+    assert joined == uncut == [key(r) for item in items for r in alone(item)]
 
 
 INDICES = [Index(k) for k in indices_up_to_weight(6)]
@@ -143,23 +200,20 @@ def check_trie(chains, upper):
 
 @st.composite
 def fuzz_cases(draw):
-    """(indices, fence, prime, exponent, reads): each read an (index,
-    fence, residue check) triple drawn from those, in any order."""
+    """(indices, fence, prime, exponent, fences): distinct indices in any
+    order, and fences up to the fence in any order, with repeats."""
     ks = draw(st.lists(st.sampled_from(INDICES), min_size=1, max_size=5,
                        unique=True))
     upper = draw(st.integers(0, 24))
-    reads = draw(st.lists(st.tuples(st.sampled_from(ks),
-                                    st.integers(1, max(upper, 1)),
-                                    st.sampled_from(RESIDUE_CHECKS)),
-                          max_size=8))
+    fences = draw(st.lists(st.integers(1, max(upper, 1)), max_size=4))
     return (ks, upper, draw(st.sampled_from(primes_in(2, 31))),
-            draw(st.integers(1, 3)), reads)
+            draw(st.integers(1, 3)), fences)
 
 
 @settings(max_examples=100, deadline=None)
 @given(fuzz_cases())
 def test_trie_walks_and_sweeps_against_their_oracles(case):
-    ks, upper, p, n, reads = case
+    ks, upper, p, n, fences = case
     for chains in ([zeta_chain(k) for k in ks], [flat_chain(k) for k in ks],
                    right_chains(ks)):
         check_trie(chains, upper)
@@ -168,25 +222,25 @@ def test_trie_walks_and_sweeps_against_their_oracles(case):
         m = tuple(pos.weight.harm for pos in node)
         assert residue == Residue.from_fraction(zeta_trunc(m, p), p ** n).value
 
-    def residue_task(k, check):
-        lifted = check in (padic_duality_check, seki_lifting_check)
-        return check, ({"k": k, "p": p, "n": n} if lifted else {"k": k, "p": p})
-
+    admissible = [k for k in ks if k.admissible]
     runs = [
-        (main_sweep, [(main_identity_check, {"k": k, "upper": m, "method": "dp"})
-                      for k, m, _ in reads]),
-        (hoffman_identity_sweep, [(hoffman_identity_check, {"k": k, "upper": m})
-                                  for k, m, _ in reads]),
-        (telescope_sweep, [(cli._telescope_report, {"k": k, "upper": m})
-                           for k, m, _ in reads]),
-        (residue_sweep, [residue_task(k, check) for k, _, check in reads]),
-        (duality_sweep, [(cli._duality_r_report, {"k": k, "lo": 0, "hi": 5})
-                         for k, _, _ in reads if k.admissible]),
+        ("main", lambda ks, fences: main_sweep(ks, fences),
+         lambda k, m: main_identity_check(k, m)),
+        ("hoffman-identity", hoffman_identity_sweep, hoffman_identity_check),
+        ("telescope", telescope_sweep, cli._telescope_report),
     ]
-    for sweep, tasks in runs:
-        alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
-        assert [key(r) for r in sweep(tasks)] == alone, sweep.__name__
-        assert list(sweep([])) == [], sweep.__name__
+    for name, sweep, check in runs:
+        alone = [key(check(k, m)) for k in ks for m in fences]
+        assert [key(r) for r in sweep(ks, fences)] == alone, name
+        assert list(sweep([], fences)) == list(sweep(ks, [])) == [], name
+    for check in RESIDUE_CHECKS:
+        lifted = check in (padic_duality_check, seki_lifting_check)
+        cells = [(k, n if lifted else None, 0) for k in ks]
+        alone = [key(r) for cell in cells for r in alone_reports(check, cell, [p])]
+        assert [key(r) for r in residue_sweep(check, cells, [p])] == alone
+        assert list(residue_sweep(check, [], [p])) == []
+    alone = [key(cli._duality_r_report(k, 0, 5)) for k in admissible]
+    assert [key(r) for r in duality_reports(admissible, 0, 5)] == alone
 
 
 @pytest.mark.parametrize("upper", [1, 2, 28])
@@ -203,19 +257,16 @@ def test_right_chains_enter_weakly_from_zero(upper):
 
 
 def test_sweeps_take_no_fork(monkeypatch):
-    """Telescope and main dp grids, read in shuffled order with repeats,
-    give the reports of each check called alone with the one-off paths a
-    sweep once took for a read again or a small fence raising
-    (`connected_sum.endpoint_values`, `connected_sum.telescope`,
-    `mzv_real.zeta_flat`); and the sweep builds the right chain of each
-    suffix once."""
-    rng, indices = random.Random(26), indices_up_to_weight(4)
+    """Telescope and main dp grids give the reports of each check called
+    alone without the one-off paths a sweep once took for a read again or
+    a small fence raising (`connected_sum.endpoint_values`,
+    `connected_sum.telescope`, `mzv_real.zeta_flat`); and the sweep builds
+    the right chain of each suffix once."""
+    indices = indices_up_to_weight(4)
     suffixes = sorted({k[j:] for k in indices for j in range(1, len(k))})
     grids = [
-        (main_sweep, [(main_identity_check, {"k": k, "upper": n, "method": "dp"})
-                      for k in indices for n in range(8)], []),
-        (telescope_sweep, [(cli._telescope_report, {"k": k, "upper": n})
-                           for k in indices for n in range(1, 8)], suffixes),
+        (main_sweep, range(8), main_identity_check, []),
+        (telescope_sweep, range(1, 8), cli._telescope_report, suffixes),
     ]
     # The package exports the function connected_sum under the module's name.
     connected_sum = sys.modules["zetaflat.connected_sum"]
@@ -223,10 +274,8 @@ def test_sweeps_take_no_fork(monkeypatch):
     real = connected_sum.tilde_chain
     monkeypatch.setattr(connected_sum, "tilde_chain",
                         lambda l: built.append(tuple(l)) or real(l))
-    for sweep, grid, rights in grids:
-        tasks = grid + rng.choices(grid, k=60)
-        rng.shuffle(tasks)
-        alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
+    for sweep, fences, check, rights in grids:
+        alone = [key(check(k, n)) for k in indices for n in fences]
         built.clear()
 
         def fork(*args, **kwargs):
@@ -234,40 +283,34 @@ def test_sweeps_take_no_fork(monkeypatch):
 
         with mock.patch.multiple(connected_sum, endpoint_values=fork, telescope=fork), \
                 mock.patch.object(mzv_real, "zeta_flat", fork):
-            assert [key(r) for r in sweep(tasks)] == alone, sweep.__name__
-        assert len(tasks) == len(grid) + 60 and sorted(built) == rights
-
-
-def mixed_task(k, check, p, n):
-    if check is cli._missing_fixture_report:
-        return check, {"check_id": "seki-lifting", "k": k, "n": n}
-    if check in (padic_duality_check, seki_lifting_check):
-        return check, {"k": k, "p": p, "n": n}
-    return check, {"k": k, "p": p}
+            assert [key(r) for r in sweep(indices, fences)] == alone, sweep.__name__
+        assert sorted(built) == rights
 
 
 @st.composite
 def mixed_runs(draw):
-    """A residue sweep's tasks over two to four primes, in any order: a
-    lifted check at each exponent 1, 2 and 3, a report of a missing
-    fixture, and any further residue checks or reports."""
+    """(check, cells, primes) of a residue sweep over two to four primes:
+    cells (k, n, first) in any order, n None for the unlifted checks; a
+    lifted check has a cell at each exponent 1, 2 and 3 and one of a
+    missing fixture, a cell's first prime anywhere in the list or past it."""
     primes = draw(st.lists(st.sampled_from(primes_in(2, 31)), min_size=2,
                            max_size=4, unique=True))
     small = [k for k in INDICES if k.weight <= 5]
-    lifted = st.sampled_from((padic_duality_check, seki_lifting_check))
-    tasks = [mixed_task(draw(st.sampled_from(small)), draw(lifted),
-                          primes[n % len(primes)], n) for n in (1, 2, 3)]
-    tasks.append(mixed_task(draw(st.sampled_from(small)),
-                              cli._missing_fixture_report, None, 2))
-    tasks += [mixed_task(*task) for task in draw(st.lists(st.tuples(
-        st.sampled_from(small),
-        st.sampled_from(RESIDUE_CHECKS + (cli._missing_fixture_report,)),
-        st.sampled_from(primes), st.integers(1, 3)), max_size=8))]
-    return draw(st.permutations(tasks))
+    check = draw(st.sampled_from(RESIDUE_CHECKS))
+    lifted = check in (padic_duality_check, seki_lifting_check)
+    first = st.integers(0, len(primes))
+    exponent = st.integers(1, 3) if lifted else st.none()
+    cells = draw(st.lists(st.tuples(st.sampled_from(small), exponent, first),
+                          max_size=8))
+    if lifted:
+        cells += [(draw(st.sampled_from(small)), n, draw(first)) for n in (1, 2, 3)]
+        cells.append((draw(st.sampled_from(small)), draw(exponent), None))
+    return check, draw(st.permutations(cells)), primes
 
 
 @settings(max_examples=50, deadline=None)
 @given(mixed_runs())
-def test_residue_sweep_mixes_exponents_and_primes(tasks):
-    alone = [key(fn(**kwargs)) for fn, kwargs in tasks]
-    assert [key(r) for r in residue_sweep(tasks)] == alone
+def test_residue_sweep_mixes_exponents_and_primes(run):
+    check, cells, primes = run
+    alone = [key(r) for cell in cells for r in alone_reports(check, cell, primes)]
+    assert [key(r) for r in residue_sweep(check, cells, primes)] == alone
