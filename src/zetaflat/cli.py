@@ -66,6 +66,10 @@ VERIFY_SUITES = ("main", "transport", "telescope", "duality-r", "duality-a",
 
 CONVERGENCE_INDICES = ((3,), (1, 2), (2, 2), (1, 1, 2))
 
+# Exact values at large fences have numerators far beyond the default
+# int-to-str conversion limit; `entry` raises it to this many digits.
+INT_DIGITS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -205,6 +209,9 @@ def build_parser():
 
 def cmd_eval(args):
     caps = caps_of(args)
+    if args.decimal is not None and args.decimal >= INT_DIGITS:
+        raise ValueError(f"--decimal must be below {INT_DIGITS} places, "
+                         f"got {args.decimal}")
     if args.object == "connector":
         caps.check_upper(args.N)
         value = connector(args.N, args.n, args.m)
@@ -433,9 +440,7 @@ def main(argv=None):
 
 def entry(argv=None):
     try:
-        # Exact values at large fences have numerators far beyond the
-        # default int-to-str conversion limit.
-        sys.set_int_max_str_digits(1_000_000)
+        sys.set_int_max_str_digits(INT_DIGITS)
     except AttributeError:
         pass
     try:

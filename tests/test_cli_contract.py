@@ -207,3 +207,21 @@ def test_exit_code_contract(argv):
     else:
         assert not any(line.startswith("PASS") for line in
                        out.splitlines() + err.splitlines()), (argv, out, err)
+
+
+def test_decimal_places_past_the_digit_limit_exit_2_at_once():
+    """`eval --decimal` at or past the digits a value may print is a usage
+    error before any arithmetic: 10^8 places once ran for minutes."""
+    import time
+
+    for obj in (["zeta", "--index", "2", "--upper", "4000"],
+                ["connector", "--N", "5", "--n", "2", "--m", "3"],
+                ["Z", "--N", "3", "--left", "2,1"]):
+        for places in (cli.INT_DIGITS, 100_000_000):
+            started = time.perf_counter()
+            code, out, err = run_in_process(
+                ["eval", *obj, "--decimal", str(places)])
+            assert time.perf_counter() - started < 0.5, (obj, places)
+            assert (code, out) == (2, ""), (obj, places)
+            assert err == (f"error: --decimal must be below {cli.INT_DIGITS} "
+                           f"places, got {places}\n")
