@@ -505,3 +505,88 @@ def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
     assert zeta_mod(k, 31, 2).value == eval_dp_mod(zeta_chain(k), 31, 31 ** 2).value
     assert walks == [(31, 2, tuple(chain_trie([zeta_chain(k)])))]
 
+
+# An oracle at large primes that shares no code with the residue DP:
+# classical congruences give depth 1 and 2 in closed form through Bernoulli
+# numbers (M. E. Hoffman, Kyushu J. Math. 69 (2015), arXiv:math/0401319;
+# J. Zhao, Int. J. Number Theory 4 (2008); Glaisher), with H(m) the strict
+# sum zeta_trunc(m, p):
+#   H(a, b) = (-1)^b binom(a+b, a) B_{p-a-b} / (a+b)   (mod p),
+#   H(k)    = 0                                          (mod p), k <= p - 3,
+#   H(k)    = k/(k+1) p B_{p-1-k}                        (mod p^2).
+# For odd k the last one is Wolstenholme's H(k) = 0 (mod p^2), as B_odd = 0.
+
+def bernoulli_numbers(top):
+    """B_0 .. B_top exactly, from sum_{j <= m} binom(m+1, j) B_j = 0."""
+    numbers = [Fraction(1)]
+    for m in range(1, top + 1):
+        numbers.append(-sum(comb(m + 1, j) * b for j, b in enumerate(numbers))
+                       / (m + 1))
+    return numbers
+
+
+def bernoulli_mod_p(n, p):
+    """B_n mod p for 2 <= n <= p - 2, from the power sum: sum_{j<p} j^n is
+    p B_n (mod p^2), and B_n is p-integral below n = p - 1."""
+    total = sum(pow(j, n, p * p) for j in range(1, p)) % (p * p)
+    assert total % p == 0, (n, p)
+    return total // p
+
+
+def closed_form_misses(p, zeta):
+    """The (index, exponent) reads zeta(m, p, n) that miss their closed
+    forms: depth 2 mod p at a + b <= 7, depth 1 mod p at k <= 7 and mod
+    p^2 at k <= 6."""
+    bern = {n: bernoulli_mod_p(n, p) for n in range(p - 7, p - 1)}
+    want = {}
+    for a in range(1, 7):
+        for b in range(1, 8 - a):
+            want[(a, b), 1] = ((-1) ** b * comb(a + b, a) * bern[p - a - b]
+                               * pow(a + b, -1, p) % p)
+    for k in range(1, 8):
+        want[(k,), 1] = 0
+    for k in range(1, 7):
+        want[(k,), 2] = k * pow(k + 1, -1, p * p) * p * bern[p - 1 - k] % (p * p)
+    return [(m, n) for (m, n), value in want.items() if zeta(m, p, n) != value]
+
+
+LARGE_PRIMES = sorted(random.Random(28).sample(primes_in(211, 10 ** 4), 6))
+
+
+def test_power_sum_bernoulli_numbers_meet_the_recurrence():
+    exact = bernoulli_numbers(60)
+    for p in primes_in(5, 61):
+        for n in range(2, p - 1):
+            assert bernoulli_mod_p(n, p) == Residue.from_fraction(exact[n], p).value
+
+
+def test_closed_forms_hold_at_small_primes_against_exact_sums():
+    """The closed forms themselves, read from exact rational sums."""
+    for p in primes_in(11, 61):
+        assert closed_form_misses(p, lambda m, q, n: Residue.from_fraction(
+            zeta_trunc(m, q), q ** n).value) == [], p
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_residues_at_large_primes_meet_the_closed_forms(p, cold_tables):
+    """Both read paths: a sweep's lookup (one walk of the trie of every
+    strict chain to weight 7, mod p^2) and `zeta_mod`, which reads the
+    lookup of checks called alone."""
+    assert closed_form_misses(p, finite_padic.residue_lookups(6, 2)) == []
+    assert closed_form_misses(p, lambda m, q, n: zeta_mod(m, q, n).value) == []
+
+
+def test_an_inverse_off_by_one_misses_the_closed_forms(monkeypatch):
+    """Mutation: the inverse table of a walk one unit off at n = 5 alone."""
+    from zetaflat import chainsum
+
+    real = chainsum._inverse_table
+
+    def shifted(upper, modulus):
+        table = list(real(upper, modulus))
+        table[5] = (table[5] + 1) % modulus
+        return table
+
+    monkeypatch.setattr(chainsum, "_inverse_table", shifted)
+    misses = closed_form_misses(LARGE_PRIMES[0], finite_padic.residue_lookups(6, 2))
+    assert ((1,), 1) in misses and ((1,), 2) in misses
