@@ -16,8 +16,9 @@ Strict residues mod p^n come from walks of the trie of strict chains
 (`_walk`, on `chainsum.trie_walk`), 0 for a chain deeper than p - 1.  A
 check reads them through its `zeta` keyword, zeta(m, p, n) =
 zeta_trunc(m, p) mod p^n: by default from a walk of each index's
-prefixes, and in `residue_sweep` from one walk per prime mod p^N of one
-trie built per sweep (`residue_lookups`).
+prefixes, and in `residue_sweep`, which takes a grid's (index, exponent)
+cells and its primes, from one walk per prime mod p^N of one trie built
+per sweep (`residue_lookups`).
 """
 
 from __future__ import annotations

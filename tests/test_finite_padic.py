@@ -207,7 +207,7 @@ def test_hoffman_identity_against_enumeration():
                                        * comb(n, m))))
                 for n in range(1, 9)]
         # both sides read at the fence itself, and from the dynamic
-        # programs at the top fence of a sweep's tasks
+        # programs at the top fence of a sweep
         assert [(r.lhs, r.rhs) for r in
                 (hoffman_identity_check(k, n) for n in range(1, 9))] == want, k
         for top in (8, 11):

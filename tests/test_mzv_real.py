@@ -545,6 +545,21 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
                           for run in runs for n in fences]
 
 
+# Run sizes of the indices of weight <= 4 at fence 6.
+@pytest.mark.parametrize("sweep, budget, sizes", [
+    ("main", 1000, [7, 2, 2, 2, 2]), ("main", 1500, [10, 4, 1]),
+    ("telescope", 6000, [7, 3, 2, 3]), ("telescope", 9000, [11, 4]),
+])
+def test_each_run_is_estimated_afresh(sweep, budget, sizes, monkeypatch):
+    """A cut starts the next run's estimate from its own indices, so
+    runs of several indices follow one another, in the grid's order."""
+    monkeypatch.setattr(mzv_real, "FLAT_TABLE_BITS", budget)
+    indices = indices_up_to_weight(4)
+    runs = list(mzv_real.budget_runs(indices, 6, sweep))
+    assert [len(run) for run in runs] == sizes
+    assert [k for run in runs for k in run] == [tuple(k) for k in indices]
+
+
 def test_sweep_computes_each_lcm_once(monkeypatch, capsys):
     """main_sweep keeps each fence's lcm(1..N) with its walk, so fences
     past the size of the lcm cache are not computed again per index."""
