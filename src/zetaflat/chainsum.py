@@ -15,8 +15,9 @@ sums and the binomial identity are built from it.  `eval_dp_mod` runs
 the dynamic program in Z/m.  All three run on the pure-Python kernels in
 `zetaflat._kernels`, on rows per (weight, fence): cached denominators (the
 exact program plans multipliers from them) and their inverses mod m.
-`trie_walk` runs it over the trie of several chains (`chain_trie`), once
-per fence for a prefix they share.
+`trie_walk` runs it over the trie of several keyed chains (`chain_trie`),
+once per fence for a prefix they share, and yields each key's layer, so
+no caller depends on the trie's order.
 
 Internally values are integers scaled by lcm(1..N)^degree, so no rational
 reduction happens until the final Fraction is formed.
@@ -394,34 +395,40 @@ def eval_dp(spec: ChainSpec, upper) -> Fraction:
 
 
 def chain_trie(chains):
-    """Every prefix of the positions of the compiled `chains`, sorted.
+    """The trie of the compiled chains of {key: ChainSpec}, as (node, keys)
+    for every prefix of their positions, sorted, where `keys` are those
+    whose chain ends at the node.
 
     A prefix sorts before its extensions, and the extensions of a node
     sort directly after it, so this is a depth-first pre-order of the
-    chains' trie: a node's parent is the last node before it one
-    position shorter.
+    trie: a node's parent is the last node before it one position
+    shorter.  An empty chain has no node.
     """
-    return sorted({spec.positions[:i] for spec in chains
-                   for i in range(1, spec.length + 1)})
+    ends = {}
+    for key, spec in chains.items():
+        ends.setdefault(spec.positions, []).append(key)
+    nodes = {spec.positions[:i] for spec in chains.values()
+             for i in range(1, spec.length + 1)}
+    return [(node, ends.get(node, ())) for node in sorted(nodes)]
 
 
-def trie_walk(upper, nodes, modulus=None):
-    """The final layer of the dynamic program at each node of a chain trie.
+def trie_walk(upper, trie, modulus=None):
+    """(key, layer) for each key of a `chain_trie`, in its order: the final
+    layer of the dynamic program over the key's chain at the fence N =
+    upper.
 
-    `nodes` are tuples of positions in pre-order (`chain_trie`), each the
-    chain of its positions strict against the fence N = upper.  Each
-    distinct position is planned once, on the band [1, N - 1], or [0, N -
-    1] where it enters weakly without a factor 1/n, and a node's layer is
-    its parent's extended by it through `dp_sum` (scaled by
+    Each distinct position is planned once, on the band [1, N - 1], or [0,
+    N - 1] where it enters weakly without a factor 1/n, and a node's layer
+    is its parent's extended by it through `dp_sum` (scaled by
     lcm(1..N)^degree) or, with a modulus, through `dp_sum_mod`; an empty
-    band gives a zero layer.  Yields each node's layer, which the walk
-    reads again and so must not be changed.
+    band gives a zero layer.  Keys of one chain share its layer, which the
+    walk reads again and so must not be changed.
     """
     kernel = dp_sum if modulus is None else dp_sum_mod
     extra = () if modulus is None else (modulus,)
     plans, zeros = {}, [0] * (upper + 1)
     layers = [[1] + [0] * upper]
-    for node in nodes:
+    for node, keys in trie:
         plan = plans.get(pos := node[-1])
         if plan is None:  # () once planned empty
             band = Position(pos.weight, pos.strict_before or pos.weight.harm > 0)
@@ -430,7 +437,8 @@ def trie_walk(upper, nodes, modulus=None):
                                           *plan[2:], *extra) or ()
         del layers[len(node):]
         layers.append(kernel(*plan, layers[-1]) if plan else zeros)
-        yield layers[-1]
+        for key in keys:
+            yield key, layers[-1]
 
 
 def eval_dp_mod(spec: ChainSpec, upper, modulus) -> Residue:

@@ -19,8 +19,9 @@ lcm_v binom(N, v).
 `telescope` and `connected_sum` evaluate one stage at a time, as
 Fractions, and stay the independent path; `verify telescope` runs
 `telescope_sweep`, which gives the same stages, integers over their
-scales, from trie walks its routes share: of the left chains, the
-reflected right chains and the block forms.
+scales, from trie walks its routes share, each read by key: of the left
+chains by prefix, the reflected right chains by suffix and the block
+forms by index.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
 from .chainsum import (
+    chain_trie,
     endpoint_values,
     eval_dp,
     flat_chain,
@@ -45,7 +47,7 @@ from .chainsum import (
     zeta_chain,
 )
 from .index_algebra import Index, as_index, format_index
-from .mzv_real import _trie, budget_runs
+from .mzv_real import budget_runs
 from .reports import fraction_str, make_report, ratio_report
 
 
@@ -106,9 +108,7 @@ def transport_failures(which, upper):
     transport2's rhs, in a descending for transport2's lhs.  Each pair is
     compared on its own, as the per-pair checks compare it.
     """
-    row = [comb(upper, v) for v in range(upper + 1)]
-    den = lcm(*row)
-    cofactors = [den // c for c in row]
+    cofactors, _ = _binomials(upper)
     harm = lcm_upto(upper)
     inverses = [0] + [harm // b for b in range(1, upper + 1)]  # 1/b over harm
     bad = []
@@ -173,9 +173,7 @@ def binomial_sums(x) -> list:
 
 def _binomials(upper):
     """(cofactors, den): den = lcm_v binom(N, v), cofactor v = den / binom(N, v)."""
-    row = [1]
-    for v in range(1, upper + 1):
-        row.append(row[-1] * (upper + 1 - v) // v)
+    row = [comb(upper, v) for v in range(upper + 1)]
     den = lcm(*row)
     return [den // b for b in row], den
 
@@ -293,36 +291,33 @@ def _telescope_run(forms, fences, top):
     run's last index."""
     lefts = {m: zeta_chain(m) for m in dict.fromkeys(
         k[:i] for k in forms for i in range(1, len(k) + 1))}
-    rights = {s: reflect_chain(tilde_chain(s)) for s in dict.fromkeys(
-        k[j:] for k in forms for j in range(1, len(k)))}
-    (nodes, _, at), (blocks, block_mask, place), (right, right_mask, order) = map(
-        _trie, (lefts, forms, rights))
-    lefts = {m: (layer, lcm_upto(top) ** sum(m)) for m, layer in zip(
-        sorted(lefts, key=at.get), trie_walk(top, nodes))}  # one node per left
-    routes = {s: ([], []) for s in sorted(rights, key=order.get)}
-    for k in forms:  # the (place, stage) and the left side of each middle
+    lefts = {m: (layer, lcm_upto(top) ** sum(m))
+             for m, layer in trie_walk(top, chain_trie(lefts))}
+    routes = {}  # suffix: the indices whose routes pass through it
+    for k in forms:
         for j in range(1, len(k)):
-            routes[k[j:]][0].append((place[k], len(k) - j - 1))
-            routes[k[j:]][1].append(lefts[k[:j]])
-    ks, tables = sorted(forms, key=place.get), {}
+            routes.setdefault(k[j:], []).append(k)
+    blocks = chain_trie(forms)
+    rights = chain_trie({s: reflect_chain(tilde_chain(s)) for s in routes})
     *_, last = forms
+    tables = {}
     for k in forms:
         (front, scale), name = lefts[k], format_index(k)
         for n in fences:
             started = time.perf_counter()
             if n not in tables:
                 binomials = _binomials(n)
-                table = [[*[None] * (len(m) - 1), sum(layer)] for m, layer in zip(
-                    ks, compress(trie_walk(n + 1, blocks), block_mask))]
-                formed = [_middle_stages((layer, lcm_upto(n) ** sum(s)),
-                                         binomials, sides)
-                          for (s, (_, sides)), layer in zip(routes.items(), compress(
-                              trie_walk(n, right), right_mask))]
-                for (targets, _), values in zip(routes.values(), formed):
-                    for (p, j), value in zip(targets, values):
-                        table[p][j] = value
+                table = {m: [*[None] * (len(m) - 1), sum(layer)]
+                         for m, layer in trie_walk(n + 1, blocks)}
+                formed = {s: _middle_stages(
+                    (layer, lcm_upto(n) ** sum(s)), binomials,
+                    [lefts[m[:-len(s)]] for m in routes[s]])
+                    for s, layer in trie_walk(n, rights)}
+                for s, values in formed.items():
+                    for m, value in zip(routes[s], values):
+                        table[m][len(s) - 1] = value
                 tables[n] = table, lcm_upto(n + 1)
             table, lam = tables.pop(n) if k is last else tables[n]
-            *middles, flat = table[place[k]]
+            *middles, flat = table[k]
             stages = [(sum(front[:n + 1]), scale), *middles, (flat, lam ** sum(k))]
             yield telescope_report(name, n, stages, started)

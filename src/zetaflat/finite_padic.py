@@ -13,12 +13,12 @@ of the range, and the pinned thresholds live in a committed fixtures file
 (see `load_thresholds`).  Thresholds are measured, never guessed.
 
 Strict residues mod p^n come from walks of the trie of strict chains
-(`_walk`, on `chainsum.trie_walk`), 0 for a chain deeper than p - 1.  A
-check reads them through its `zeta` keyword, zeta(m, p, n) =
-zeta_trunc(m, p) mod p^n: by default from a walk of each index's
-prefixes, and in `residue_sweep`, which takes a grid's (index, exponent)
-cells and its primes, from one walk per prime mod p^N of one trie built
-per sweep (`residue_lookups`).
+keyed by index (`_walk`, on `chainsum.trie_walk`), 0 for a chain deeper
+than p - 1.  A check reads them through its `zeta` keyword,
+zeta(m, p, n) = zeta_trunc(m, p) mod p^n: by default from a walk of each
+index's prefixes, and in `residue_sweep`, which takes a grid's (index,
+exponent) cells and its primes, from one walk per prime mod p^N of one
+trie built per sweep (`residue_lookups`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .index_algebra import (
     shift_vectors,
     squeeze_lattice,
 )
-from .mzv_real import _trie
 from .reports import make_report, ratio_report
 
 _MR_BASES = (2, 7, 61)
@@ -113,17 +112,17 @@ def _checked(k, p, n):
     return k
 
 
-def _walk(p, n, nodes):
-    """zeta_trunc(m, p) mod p^n for the strict chain m of each node of a
-    `chain_trie`, in its order."""
+def _walk(p, n, trie):
+    """{m: zeta_trunc(m, p) mod p^n} for the key m of each strict chain
+    of a `chain_trie`."""
     mod = p ** n
-    return [sum(layer) % mod for layer in trie_walk(p, nodes, mod)]
+    return {m: sum(layer) % mod for m, layer in trie_walk(p, trie, mod)}
 
 
 @lru_cache(maxsize=1 << 14)
 def _zeta_residue(k, p, n):
     """zeta_trunc(k, p) mod p^n as an int, from a walk of k's prefixes."""
-    return _walk(p, n, chain_trie([zeta_chain(k)]))[-1]
+    return _walk(p, n, chain_trie({k: zeta_chain(k)}))[k]
 
 
 def _star(k, p, n, *, zeta=_zeta_residue):
@@ -274,14 +273,14 @@ def residue_lookups(weight, top):
     zeta(m, p, n) reads one walk of p's trie mod p^top of the strict
     chains up to weight weight + top - 1 (`_walk`), made at p's first
     read, mod p^n; every denominator is below p."""
-    nodes, _, places = _trie({tuple(m): zeta_chain(m) for m in
-                              indices_up_to_weight(weight + top - 1)})
+    trie = chain_trie({tuple(m): zeta_chain(m) for m in
+                       indices_up_to_weight(weight + top - 1)})
     walks = {}
 
     def zeta(m, p, n):
         if p not in walks:
-            walks[p] = _walk(p, top, nodes)
-        return walks[p][places[m]] % p ** n
+            walks[p] = _walk(p, top, trie)
+        return walks[p][m] % p ** n
     return zeta
 
 

@@ -8,8 +8,8 @@ and its reflected block form zeta_flat(k, N), a sum with one variable per
 unit of weight, weak inequalities inside blocks, and a factor 1/(N - n) at
 each block opening.  The two are equal for every admissible k and every N;
 `main_sweep` checks that over a grid, reading the block forms of a run
-from one walk of their chain trie per fence.  This module also carries
-the fully strict Riemann-sum variant (which is NOT equal), the
+by index from one walk of their chain trie per fence.  This module also
+carries the fully strict Riemann-sum variant (which is NOT equal), the
 weak-inequality star sum, the exact duality discrepancy decomposition,
 and the convergence table for the duality defect.
 """
@@ -20,7 +20,7 @@ import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 
 from ._kernels import harmonic_tree
 from .chainsum import (
@@ -106,17 +106,6 @@ def zeta_star_trunc(k, upper, method="dp") -> Fraction:
     return _eval(zeta_star_chain(k), upper, method)
 
 
-def _trie(chains):
-    """(nodes, mask, places) of a dict of chains: `compress(trie_walk(N,
-    nodes), mask)` yields the layers of the chains of their `chain_trie`
-    at N, in trie order, the one of key k at places[k]."""
-    nodes = chain_trie(chains.values())
-    ends = {spec.positions for spec in chains.values()}
-    mask = [node in ends for node in nodes]
-    place = {node: i for i, node in enumerate(compress(nodes, mask))}
-    return nodes, mask, {key: place[spec.positions] for key, spec in chains.items()}
-
-
 # Bits a sweep's tables hold over a run of top weight W and top fence N
 # whose block forms' trie has `nodes` nodes (2^W - 1 on a full grid): a
 # table per fence in main, up to W times as much in telescope's left
@@ -135,7 +124,7 @@ def budget_runs(indices, top, sweep):
     forms, covered, weight = {}, set(), 0
     for k in map(tuple, indices):
         form = flat_chain(k)
-        own = set(chain_trie([form]))
+        own = {form.positions[:i] for i in range(1, form.length + 1)}
         if forms and TABLE_BITS[sweep](len(covered | own), max(weight, sum(k)),
                                        top) > FLAT_TABLE_BITS:
             yield forms
@@ -170,9 +159,9 @@ def main_sweep(indices, fences, method="dp"):
     check alone.  The dp sweep runs over `budget_runs`, one run at a time.
     An index reads its strict sums from one `scaled_column` to the top
     fence.  A fence's first read in a run walks the trie of the run's block
-    forms; the fence keeps lcm(1..N) and a list of the run's indices'
-    values, read by place, until the run's last index.  The sides meet as
-    integers over their scales (`ratio_report`)."""
+    forms; the fence keeps lcm(1..N) and the run's indices' values, read
+    by index, until the run's last index.  The sides meet as integers
+    over their scales (`ratio_report`)."""
     if method != "dp":
         for k in indices:
             for upper in fences:
@@ -180,21 +169,20 @@ def main_sweep(indices, fences, method="dp"):
         return
     top = max(fences, default=0)
     for forms in budget_runs(indices, top, "main"):
-        nodes, mask, places = _trie(forms)
+        trie, tables = chain_trie(forms), {}
         *_, last = forms
-        tables = {}
         for k in forms:
             started = time.perf_counter()
-            name, place, weight = format_index(k), places[k], sum(k)
+            name, weight = format_index(k), sum(k)
             column, scales = scaled_column(k, range(top + 1))
             for upper in fences:
                 if upper not in tables:
-                    tables[upper] = [sum(layer) for layer in compress(
-                        trie_walk(upper, nodes), mask)], lcm_upto(upper)
+                    tables[upper] = {m: sum(layer) for m, layer in trie_walk(
+                        upper, trie)}, lcm_upto(upper)
                 values, lam = tables.pop(upper) if k is last else tables[upper]
                 yield ratio_report("main", {"k": name, "N": upper},
                                    (column[upper], scales[upper]),
-                                   (values[place], lam ** weight), started)
+                                   (values[k], lam ** weight), started)
                 started = time.perf_counter()
 
 

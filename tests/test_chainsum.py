@@ -34,6 +34,7 @@ from zetaflat.chainsum import (
     reflect_chain,
     riemann_chain,
     tilde_chain,
+    trie_walk,
     zeta_chain,
     zeta_star_chain,
     _denominator_row,
@@ -263,11 +264,11 @@ def test_dp_extends_a_prefix_layer():
 @pytest.mark.parametrize("rule", ["prefix", "weight"])
 def test_chain_trie_is_a_preorder(rule):
     """The trie of the strict chains (by prefix) or of the block forms (by
-    weight) of the indices of weight <= w has one node per index, and a
-    node's parent is the index without its last part, or with its last
-    part lowered by one (dropped at 1).  In `chain_trie` order that parent
-    is the last node before it one position shorter, so a walk keeps one
-    layer per depth on a stack."""
+    weight) of the indices of weight <= w has one node per index, which
+    ends that index's chain alone, and a node's parent is the index
+    without its last part, or with its last part lowered by one (dropped
+    at 1).  In `chain_trie` order that parent is the last node before it
+    one position shorter, so a walk keeps one layer per depth on a stack."""
     compile, parent = {
         "prefix": (zeta_chain, lambda k: k[:-1]),
         "weight": (flat_chain,
@@ -275,16 +276,57 @@ def test_chain_trie_is_a_preorder(rule):
     }[rule]
     for w in range(1, 9):
         chains = {tuple(k): compile(k) for k in indices_up_to_weight(w)}
-        nodes = chain_trie(chains.values())
-        assert nodes == sorted(spec.positions for spec in chains.values())
+        trie = chain_trie(chains)
+        assert trie == sorted((spec.positions, [k]) for k, spec in chains.items())
         for k, spec in chains.items():
             if parent(k):
                 assert chains[parent(k)].positions == spec.positions[:-1], k
         stack = []
-        for node in nodes:
+        for node, _ in trie:
             del stack[len(node) - 1:]
             assert len(stack) == len(node) - 1 and stack[-1:] in ([], [node[:-1]])
             stack.append(node)
+
+
+def test_trie_walk_is_keyed():
+    """A walk yields (key, layer) for every key of a `chain_trie`, in the
+    trie's pre-order whatever the order of the dict: two keys of one chain
+    both get its layer, in the dict's order, and a key whose chain is a
+    proper prefix of another's gets the layer of its inner node.  Each
+    layer is the final layer of the dynamic program over the key's chain,
+    and a walk mod m, keyed the same way, holds those values mod m and
+    sums to `eval_dp_mod`.  No chain, no node and no layer."""
+    chains = {
+        "longer": zeta_chain((1, 2, 1)),
+        "twin b": zeta_chain((1, 2)),
+        "flat": flat_chain((2, 1)),
+        "twin a": zeta_chain((1, 2)),
+        "right": reflect_chain(tilde_chain((3,))),
+        "prefix": zeta_chain((1,)),
+    }
+    trie = chain_trie(chains)
+    assert dict(trie)[chains["twin b"].positions] == ["twin b", "twin a"]
+    assert dict(trie)[chains["longer"].positions[:1]] == ["prefix"]
+    order = sorted(chains, key=lambda key: chains[key].positions)  # stable
+    assert order.index("prefix") < order.index("twin b") < order.index("longer")
+    for upper in (0, 1, 5, 12):
+        walk = list(trie_walk(upper, trie))
+        assert [key for key, _ in walk] == order, upper
+        for key, layer in walk:
+            assert layer == endpoint_values(chains[key], upper)[0], (key, upper)
+        assert dict(walk)["twin a"] == dict(walk)["twin b"]
+    for upper, modulus in ((6, 49), (10, 11)):
+        walk = list(trie_walk(upper, trie, modulus))
+        assert [key for key, _ in walk] == order, modulus
+        for key, layer in walk:
+            front, scale = endpoint_values(chains[key], upper)
+            assert [x % modulus for x in layer] == [
+                Residue.from_fraction(Fraction(x, scale), modulus).value
+                for x in front], (key, modulus)
+            assert Residue(sum(layer), modulus) == eval_dp_mod(
+                chains[key], upper, modulus), (key, modulus)
+    assert chain_trie({}) == []
+    assert list(trie_walk(5, [])) == list(trie_walk(5, [], 7)) == []
 
 
 def test_plan_rows_are_cached_denominators():

@@ -657,8 +657,8 @@ def test_partial_fixtures_report_missing_entries(suite, name, check_id,
                            if key not in dropped})
     walks = []
     real = finite_padic._walk
-    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
-                        walks.append((p, n)) or real(p, n, nodes))
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, trie:
+                        walks.append((p, n)) or real(p, n, trie))
     code, out, _ = run_cli(["verify", suite, "--max-weight", "3",
                             "--primes", "3..23"], capsys)
     assert code == 1

@@ -301,11 +301,11 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
         tildes[tuple(l)] += 1
         return real_tilde(l)
 
-    def trie_walk(upper, nodes):
-        walks.append((upper, nodes))
-        for layer in real_walk(upper, nodes):
+    def trie_walk(upper, trie):
+        walks.append((upper, trie))
+        for key, layer in real_walk(upper, trie):
             watched.append((len(walks), weakref.ref(layer := _Table(layer))))
-            yield layer
+            yield key, layer
 
     indices, fences, grid = _telescope_grid(4, 8)
     alone = [_telescope_report(k, n) for k, n in grid]
@@ -322,9 +322,9 @@ def test_sweep_forms_each_right_side_once(monkeypatch):
             n for n, j in last.items() if first[n] <= i < j)
     suffixes = {k[j:] for k in indices for j in range(1, len(k))}
     assert tildes == Counter(dict.fromkeys(suffixes, 1))
-    forms = chain_trie(map(flat_chain, indices))
-    rights = chain_trie(reflect_chain(tilde_chain(s)) for s in suffixes)
-    assert walks == [(9, chain_trie(map(zeta_chain, indices)))] + [
+    forms = chain_trie({k: flat_chain(k) for k in indices})
+    rights = chain_trie({s: reflect_chain(tilde_chain(s)) for s in suffixes})
+    assert walks == [(9, chain_trie({k: zeta_chain(k) for k in indices}))] + [
         walk for n in range(1, 9) for walk in ((n + 1, forms), (n, rights))]
     assert all(ref() is None for _, ref in watched)
 
@@ -347,18 +347,21 @@ def test_sweep_past_the_table_budget(monkeypatch):
     assert runs == [[(1,), (1, 1), (2,)], [(1, 1, 1)], [(1, 2)], [(2, 1)], [(3,)]]
     walks = []
     real = module.trie_walk
-    monkeypatch.setattr(module, "trie_walk", lambda upper, nodes:
-                        walks.append((upper, nodes)) or real(upper, nodes))
+    monkeypatch.setattr(module, "trie_walk", lambda upper, trie:
+                        walks.append((upper, trie)) or real(upper, trie))
     monkeypatch.setattr(module, "telescope", None)
     for want, report in zip(alone, telescope_sweep(indices, fences), strict=True):
         assert report.passed and (report.lhs, report.rhs) == (want.lhs, want.rhs)
     want = []
     for run in runs:
-        rights = chain_trie(reflect_chain(tilde_chain(k[j:]))
-                            for k in run for j in range(1, len(k)))
-        want.append((5, chain_trie(map(zeta_chain, run))))
+        lefts = chain_trie({k[:i]: zeta_chain(k[:i])
+                            for k in run for i in range(1, len(k) + 1)})
+        rights = chain_trie({k[j:]: reflect_chain(tilde_chain(k[j:]))
+                             for k in run for j in range(1, len(k))})
+        want.append((5, lefts))
         for n in range(1, 5):
-            want += [(n + 1, chain_trie(map(flat_chain, run))), (n, rights)]
+            want += [(n + 1, chain_trie({k: flat_chain(k) for k in run})),
+                     (n, rights)]
     assert walks == want
 
 
@@ -369,9 +372,11 @@ def test_one_shifted_right_layer_fails_its_routes(monkeypatch, capsys):
     module = sys.modules["zetaflat.connected_sum"]
     real, target = module.trie_walk, reflect_chain(tilde_chain((1,))).positions
 
-    def trie_walk(upper, nodes):
-        for node, layer in zip(nodes, real(upper, nodes)):
-            yield [layer[0] + 1, *layer[1:]] if (upper, node) == (4, target) else layer
+    def trie_walk(upper, trie):
+        rights = upper == 4 and (1,) in dict(trie).get(target, ())
+        for key, layer in real(upper, trie):
+            yield key, ([layer[0] + 1, *layer[1:]] if rights and key == (1,)
+                        else layer)
 
     monkeypatch.setattr(module, "trie_walk", trie_walk)
     assert main(["verify", "telescope", "--max-weight", "3", "--max-upper", "6",

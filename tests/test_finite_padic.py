@@ -355,11 +355,12 @@ def test_residue_tables_match_modular_dp(cold_tables):
     prefixes of a single lookup, equals the residue DP of its strict
     chain; at p = 2 and 3 the deep chains are empty and read 0."""
     indices = sorted(tuple(k) for k in indices_up_to_weight(6))
-    nodes = chain_trie(map(zeta_chain, indices))
-    assert nodes == [zeta_chain(k).positions for k in indices]
+    trie = chain_trie({k: zeta_chain(k) for k in indices})
+    assert trie == [(zeta_chain(k).positions, [k]) for k in indices]
     for p in primes_in(2, 31):
         for n in (1, 2, 3):
-            table = dict(zip(indices, finite_padic._walk(p, n, nodes)))
+            table = finite_padic._walk(p, n, trie)
+            assert list(table) == indices
             for k in indices:
                 want = eval_dp_mod(zeta_chain(k), p, p ** n).value
                 assert table[k] == want, (k, p, n)
@@ -379,8 +380,7 @@ def test_checks_read_only_the_lookup_they_are_given(check, n, cold_tables):
     k, p = Index((2, 1, 1)), 11
     args = (k, p) if n == 1 else (k, p, n)
     indices = sorted(map(tuple, indices_up_to_weight(k.weight + n - 1)))
-    nodes = chain_trie(map(zeta_chain, indices))  # in the indices' order
-    table = dict(zip(indices, finite_padic._walk(p, n, nodes)))
+    table = finite_padic._walk(p, n, chain_trie({m: zeta_chain(m) for m in indices}))
     reads = []
 
     def lookup(m, q, e):
@@ -412,8 +412,8 @@ def test_sweep_walks_each_prime_once(suite, cold_tables, monkeypatch, capsys):
 
     walks = []
     real = finite_padic._walk
-    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
-                        walks.append((p, n, len(nodes))) or real(p, n, nodes))
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, trie:
+                        walks.append((p, n, len(trie))) or real(p, n, trie))
     lifted = suite in ("padic", "seki")
     argv = ["verify", suite, "--max-weight", "3", "--primes", "3..13"]
     assert main(argv + (["--n-values", "1,2,3"] if lifted else [])) == 0
@@ -473,8 +473,8 @@ def test_a_walk_one_exponent_short_fails_the_lifted_checks(monkeypatch, capsys):
     from zetaflat.cli import entry
 
     real = finite_padic._walk
-    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
-                        real(p, n - 1, nodes))
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, trie:
+                        real(p, n - 1, trie))
     argv = ["verify", "padic", "--max-weight", "3", "--primes", "3..13",
             "--n-values", "1,2,3"]
     assert entry(argv) == 1
@@ -489,21 +489,22 @@ def test_lookups_without_a_sweep_weight_stay_bounded(cold_tables, monkeypatch):
     no table; a single heavy lookup walks only its own prefixes."""
     walks = []
     real = finite_padic._walk
-    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, nodes:
-                        walks.append((p, n, tuple(nodes))) or real(p, n, nodes))
+    monkeypatch.setattr(finite_padic, "_walk", lambda p, n, trie:
+                        walks.append((p, n, trie)) or real(p, n, trie))
     for k in indices_up_to_weight(4):
         for p in (5, 7):
             assert padic_duality_check(k, p, 2).passed
-    assert len(set(walks)) == len(walks)
-    for p, n, nodes in walks:
-        m = tuple(pos.weight.harm for pos in nodes[-1])
+    keyed = [(p, n, key) for p, n, trie in walks for _, keys in trie for key in keys]
+    assert len(set(keyed)) == len(keyed) == len(walks)
+    for p, n, m in keyed:
         assert (p, n) in ((5, 2), (7, 2)) and sum(m) <= 5
-        assert nodes == tuple(chain_trie([zeta_chain(m)]))
+    assert [trie for _, _, trie in walks] == [
+        chain_trie({m: zeta_chain(m)}) for _, _, m in keyed]
     assert finite_padic._zeta_residue.cache_info().currsize == len(walks)
     walks.clear()
     k = (1,) * 9 + (2,) * 6
     assert zeta_mod(k, 31, 2).value == eval_dp_mod(zeta_chain(k), 31, 31 ** 2).value
-    assert walks == [(31, 2, tuple(chain_trie([zeta_chain(k)])))]
+    assert walks == [(31, 2, chain_trie({k: zeta_chain(k)}))]
 
 
 # An oracle at large primes that shares no code with the residue DP:

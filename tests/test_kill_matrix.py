@@ -54,16 +54,18 @@ GRIDS = {
 }
 
 
-def shift_layer(module, upper, node, at=0):
-    """`module.trie_walk` with entry `at` of `node`'s layer at `upper` one
-    unit up; the walk's own layer stays as it was."""
+def shift_layer(module, upper, key, chain, at=0):
+    """`module.trie_walk` with entry `at` of the layer of `key` one unit up
+    in each walk at `upper` of a trie where `key` ends `chain`; the walk's
+    own layer stays as it was."""
     real = module.trie_walk
 
-    def walk(n, nodes, *rest):
-        for here, layer in zip(nodes, real(n, nodes, *rest)):
-            if (n, here) == (upper, node):
+    def walk(n, trie, *rest):
+        hit = n == upper and key in dict(trie).get(chain.positions, ())
+        for here, layer in real(n, trie, *rest):
+            if hit and here == key:
                 layer = [*layer[:at], layer[at] + 1, *layer[at + 1:]]
-            yield layer
+            yield here, layer
     return walk
 
 
@@ -84,7 +86,7 @@ def fault_main_strict(mp):
 
 def fault_main_flat(mp):
     mp.setattr(mzv_real, "trie_walk",
-               shift_layer(mzv_real, 3, flat_chain((2,)).positions))
+               shift_layer(mzv_real, 3, (2,), flat_chain((2,))))
 
 
 def fault_transport_left(mp):
@@ -109,13 +111,13 @@ def fault_transport_right(mp):
 def fault_telescope_strict(mp):
     # Stage 0 of (2,) at N sums its left layer to v = N: entry 3 is N = 3's.
     mp.setattr(connected_sum, "trie_walk",
-               shift_layer(connected_sum, 4, zeta_chain((2,)).positions, at=3))
+               shift_layer(connected_sum, 4, (2,), zeta_chain((2,)), at=3))
 
 
 def fault_telescope_flat(mp):
     # Stage r of a route at N is its block form's walk at N + 1.
     mp.setattr(connected_sum, "trie_walk",
-               shift_layer(connected_sum, 4, flat_chain((2,)).positions))
+               shift_layer(connected_sum, 4, (2,), flat_chain((2,))))
 
 
 def fault_strict_column(mp):

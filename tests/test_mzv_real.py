@@ -459,12 +459,12 @@ def test_zeta_trunc_single_fence_dispatch(upper, monkeypatch):
 
 @pytest.fixture
 def flat_walks(monkeypatch):
-    """The list of (fence, nodes) of every trie walk `main_sweep` makes
+    """The list of (fence, trie) of every trie walk `main_sweep` makes
     during a test."""
     walks = []
     real = mzv_real.trie_walk
-    monkeypatch.setattr(mzv_real, "trie_walk", lambda upper, nodes:
-                        walks.append((upper, list(nodes))) or real(upper, nodes))
+    monkeypatch.setattr(mzv_real, "trie_walk", lambda upper, trie:
+                        walks.append((upper, list(trie))) or real(upper, trie))
     return walks
 
 
@@ -477,8 +477,8 @@ def test_flat_walk_matches_oracles(flat_walks):
     grid = [(k, n) for k in indices for n in range(17)]
     for (k, n), report in zip(grid, main_sweep(indices, range(17)), strict=True):
         assert report.rhs == fraction_str(eval_enum(flat_chain(k), n)), (k, n)
-    assert [n for n, nodes in flat_walks] == list(range(17))
-    assert all(len(nodes) == 63 for _, nodes in flat_walks)
+    assert [n for n, trie in flat_walks] == list(range(17))
+    assert all(len(trie) == 63 for _, trie in flat_walks)
     with pytest.raises(ValueError, match="need a nonempty index"):
         zeta_flat((), 5)
     with pytest.raises(ValueError, match="upper fence must be non-negative"):
@@ -493,7 +493,7 @@ def test_sweep_walks_each_fence_once(flat_walks, capsys):
 
     assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9"]) == 0
     capsys.readouterr()
-    assert sorted((n, len(nodes)) for n, nodes in flat_walks) == [
+    assert sorted((n, len(trie)) for n, trie in flat_walks) == [
         (n, 15) for n in range(1, 10)]
 
 
@@ -509,8 +509,8 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
     run (3 nodes * 2 * 6^2 = 216 bits), and each index of weight 3 in a run
     of its own, past the budget alone (3 * 3 * 36 = 324).  Each run walks
     the trie of its own block forms once per fence, a one-index run too,
-    and holds a fence's table, one value per index of the run, read in
-    place, from the fence's first read until the run's last index reads
+    and holds a fence's table, one value per index of the run, read
+    by index, from the fence's first read until the run's last index reads
     it: a one-index run holds none across fences.  Every report equals its
     check called alone."""
     indices, fences = indices_up_to_weight(3), range(1, 7)
@@ -525,8 +525,7 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
     for i, report in enumerate(sweep):
         assert _key(report) == alone[i]
         (k, upper), run = grid[i], runs[run_of[grid[i][0]]]
-        frame = sweep.gi_frame.f_locals
-        tables = frame["tables"]
+        tables = sweep.gi_frame.f_locals["tables"]
         if len(run) == 1:
             held = []
         elif k == run[0]:  # built up to this fence
@@ -536,12 +535,11 @@ def test_sweep_past_the_table_budget(flat_walks, monkeypatch):
         else:
             held = list(fences)
         assert sorted(tables) == held
-        assert all(len(values) == len(run) for values, _ in tables.values())
+        assert all(sorted(values) == sorted(run) for values, _ in tables.values())
         if upper in tables:  # the value just read stays in place
             values, lam = tables[upper]
-            assert Fraction(values[frame["places"][k]], lam ** sum(k)) == (
-                zeta_flat(k, upper))
-    assert flat_walks == [(n, chain_trie(map(flat_chain, run)))
+            assert Fraction(values[k], lam ** sum(k)) == zeta_flat(k, upper)
+    assert flat_walks == [(n, chain_trie({k: flat_chain(k) for k in run}))
                           for run in runs for n in fences]
 
 
@@ -589,12 +587,12 @@ def test_sweep_fails_on_one_changed_flat_value(monkeypatch, capsys):
     strict = zeta_trunc(k, fence)
     flat = zeta_flat(k, fence) + Fraction(1, lcm_upto(fence) ** 3)
     assert strict != flat
-    real, target = mzv_real.trie_walk, flat_chain(k).positions
+    real = mzv_real.trie_walk
 
-    def walk(upper, nodes):
-        for node, layer in zip(nodes, real(upper, nodes)):
-            shifted = (upper, node) == (fence, target)
-            yield [layer[0] + 1, *layer[1:]] if shifted else layer
+    def walk(upper, trie):
+        for m, layer in real(upper, trie):
+            shifted = (upper, m) == (fence, k)
+            yield m, [layer[0] + 1, *layer[1:]] if shifted else layer
 
     monkeypatch.setattr(mzv_real, "trie_walk", walk)
     assert main(["verify", "main", "--max-weight", "4", "--max-upper", "9",

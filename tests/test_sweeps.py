@@ -187,11 +187,14 @@ def right_chains(ks):
 
 
 def check_trie(chains, upper):
-    """Every node of the chains' trie, walked at `upper`, is the final layer
-    of the dynamic program over its own chain, and at small fences its sum
-    is the enumeration."""
-    nodes = chain_trie(chains)
-    for node, layer in zip(nodes, trie_walk(upper, nodes), strict=True):
+    """Every node of the chains' trie, keyed by itself and walked at
+    `upper`, is the final layer of the dynamic program over its own chain,
+    and at small fences its sum is the enumeration."""
+    trie = chain_trie({spec.positions[:i]: ChainSpec(spec.positions[:i])
+                       for spec in chains for i in range(1, spec.length + 1)})
+    walk = list(trie_walk(upper, trie))
+    assert [node for node, _ in walk] == [node for node, _ in trie]
+    for node, layer in walk:
         front, scale = endpoint_values(ChainSpec(node), upper)
         assert layer == front, (node, upper)
         if upper <= ENUM_FENCE:
@@ -217,9 +220,10 @@ def test_trie_walks_and_sweeps_against_their_oracles(case):
     for chains in ([zeta_chain(k) for k in ks], [flat_chain(k) for k in ks],
                    right_chains(ks)):
         check_trie(chains, upper)
-    strict = chain_trie(map(zeta_chain, ks))
-    for node, residue in zip(strict, _walk(p, n, strict), strict=True):
-        m = tuple(pos.weight.harm for pos in node)
+    strict = {k[:i]: zeta_chain(k[:i]) for k in ks for i in range(1, len(k) + 1)}
+    residues = _walk(p, n, chain_trie(strict))
+    assert sorted(residues) == sorted(strict)
+    for m, residue in residues.items():
         assert residue == Residue.from_fraction(zeta_trunc(m, p), p ** n).value
 
     admissible = [k for k in ks if k.admissible]
